@@ -42,7 +42,6 @@ from .likelihood import (
     log_likelihood,
     score,
     score_jacobian,
-    score_jacobian_rows,
 )
 from .estimation import (
     FitResult,

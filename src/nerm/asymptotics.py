@@ -187,7 +187,7 @@ class CovariateLimits:
     @classmethod
     def from_dataset(cls, ds: ClusteredDataset,
                      stats: SufficientStats) -> "CovariateLimits":
-        Xb = ds.x_b_matrix
+        Xb = ds.x_b
         c1 = Xb.mean(axis=0) if ds.p_b else np.empty(0)
         C2 = Xb.T @ Xb / stats.g if ds.p_b else np.empty((0, 0))
         C3 = stats.S_w_x / stats.n if ds.p_w else np.empty((0, 0))
@@ -358,7 +358,7 @@ def matrix_Bn(ds: ClusteredDataset, stats: SufficientStats,
     m = stats.m.astype(float)
     t = tau((sa, se), m)
     g, n = float(stats.g), float(stats.n)
-    Xb, Xw = ds.x_b_matrix, stats.xbar_w
+    Xb, Xw = ds.x_b, stats.xbar_w
     p_b, p_w = ds.p_b, ds.p_w
     dim, i0, i1, ia, i2, ie = _indices(p_b, p_w)
     root_gn = math.sqrt(g * n)
@@ -426,13 +426,12 @@ def estimate_moments(ds: ClusteredDataset, stats: SufficientStats,
     rb = stats.ybar - ps.Z @ om.beta
     mu3_a = float(np.mean(rb**3))
     mu4_a = float(np.mean(rb**4))
-    s3 = s4 = 0.0
-    for k, c in enumerate(ds.clusters):
-        dy = (c.y - stats.ybar[k]) - (c.x_w - stats.xbar_w[k]) @ om.beta2
-        s3 += float(np.sum(dy**3))
-        s4 += float(np.sum(dy**4))
+    dy = (ds.y - np.repeat(stats.ybar, stats.m)) \
+        - (ds.x_w - np.repeat(stats.xbar_w, stats.m, axis=0)) @ om.beta2
+    dy2 = dy * dy
     return MomentEstimates(mu3_alpha=mu3_a, mu4_alpha=mu4_a,
-                           mu3_e=s3 / stats.n, mu4_e=s4 / stats.n)
+                           mu3_e=float(dy2 @ dy) / stats.n,
+                           mu4_e=float(dy2 @ dy2) / stats.n)
 
 
 @dataclass(frozen=True)

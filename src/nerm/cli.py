@@ -20,7 +20,9 @@ import csv
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,10 +45,10 @@ from .model import (
     ClusteredDataset,
     ParameterVector,
     center_within_covariates,
+    parameter_names,
     sufficient_stats,
     validate_dataset,
 )
-from .model_names import parameter_names
 from .simulation import (
     MonteCarloSummary,
     RandomCovariates,
@@ -100,19 +102,25 @@ def _covariate_columns(header, prefix):
 def read_dataset_csv(path: str) -> ClusteredDataset:
     """Parse a dataset CSV (see module docstring for the schema).
 
+    Rows are streamed into flat columns, numbered by cluster label in order
+    of first appearance and regrouped stably, so each cluster keeps its rows
+    in file order.
+
     Raises:
-        ParseError: unreadable file, missing columns, non-numeric fields,
-            or a between covariate that varies inside a cluster.
+        ParseError: unreadable file, missing columns, a row whose field
+            count differs from the header's, non-numeric fields, or a
+            between covariate that varies inside a cluster.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
+        header = [h.strip() for h in header]
         if "cluster" not in header or "y" not in header:
             raise ParseError(f"{path}: header must contain 'cluster' and 'y'")
         b_cols = _covariate_columns(header, "b_")
@@ -121,41 +129,44 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
         extra = [h for h in header if h not in known]
         if extra:
             raise ParseError(f"{path}: unrecognized columns {extra}")
-        groups: dict[str, dict] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            label = (row.get("cluster") or "").strip()
+        fields = itemgetter(*(header.index(c)
+                              for c in ("cluster", "y", *b_cols, *w_cols)))
+        labels: dict[str, int] = {}
+        codes, lines, values = array("q"), array("q"), array("d")
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue  # blank line
+                raise ParseError(f"{path}:{reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
+            label, *numbers = fields(row)
+            label = label.strip()
             if not label:
-                raise ParseError(f"{path}:{lineno}: empty cluster label")
+                raise ParseError(f"{path}:{reader.line_num}: empty cluster label")
             try:
-                y = float(row["y"])
-                b = [float(row[c]) for c in b_cols]
-                w = [float(row[c]) for c in w_cols]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-            if label not in groups:
-                groups[label] = {"y": [], "b": b, "w": []}
-                order.append(label)
-            elif groups[label]["b"] != b:
-                raise ParseError(
-                    f"{path}:{lineno}: between covariate changes inside "
-                    f"cluster {label!r}"
-                )
-            groups[label]["y"].append(y)
-            groups[label]["w"].append(w)
-    if not order:
+                values.extend(map(float, numbers))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: non-numeric field") from exc
+            codes.append(labels.setdefault(label, len(labels)))
+            lines.append(reader.line_num)
+    if not labels:
         raise ParseError(f"{path}: no data rows")
-    clusters = []
-    for label in order:
-        grp = groups[label]
-        m = len(grp["y"])
-        clusters.append(Cluster(
-            label,
-            np.asarray(grp["y"], dtype=float),
-            np.asarray(grp["b"], dtype=float),
-            np.asarray(grp["w"], dtype=float).reshape(m, len(w_cols)),
-        ))
-    return ClusteredDataset(tuple(clusters), p_b=len(b_cols), p_w=len(w_cols))
+    code = np.frombuffer(codes, dtype=np.int64)
+    order = np.argsort(code, kind="stable")
+    sizes = np.bincount(code)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    data = np.frombuffer(values).reshape(code.size, -1)[order]
+    b_rows = data[:, 1:1 + len(b_cols)]
+    x_b = b_rows[offsets[:-1]]
+    changed = np.any(b_rows != np.repeat(x_b, sizes, axis=0), axis=1)
+    changed[offsets[:-1]] = False  # a first row is its own reference, even if NaN
+    if changed.any():
+        first = int(order[changed].min())
+        label = list(labels)[code[first]]
+        raise ParseError(f"{path}:{lines[first]}: between covariate changes "
+                         f"inside cluster {label!r}")
+    return ClusteredDataset(y=data[:, 0], x_w=data[:, 1 + len(b_cols):],
+                            x_b=x_b, offsets=offsets, ids=list(labels))
 
 
 def write_dataset_csv(ds: ClusteredDataset, path: str) -> None:
@@ -163,16 +174,13 @@ def write_dataset_csv(ds: ClusteredDataset, path: str) -> None:
     header = (["cluster", "y"]
               + [f"b_{k}" for k in range(1, ds.p_b + 1)]
               + [f"w_{k}" for k in range(1, ds.p_w + 1)])
+    sizes = ds.cluster_sizes
+    rows = np.hstack([ds.y[:, None], np.repeat(ds.x_b, sizes, axis=0), ds.x_w])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for c in ds.clusters:
-            for j in range(c.m):
-                writer.writerow(
-                    [c.id, _fmt(c.y[j])]
-                    + [_fmt(v) for v in c.x_b]
-                    + [_fmt(v) for v in c.x_w[j]]
-                )
+        writer.writerows([label, *map(_fmt, row)] for label, row in
+                         zip(np.repeat(ds.ids, sizes).tolist(), rows.tolist()))
 
 
 def _san(name: str) -> str:
@@ -417,7 +425,7 @@ def _verify_dataset(rng, g=5, m_max=6, p_b=1, p_w=1):
              + rng.normal(scale=math.sqrt(omega.sigma_alpha_sq))
              + rng.normal(scale=math.sqrt(omega.sigma_e_sq), size=m))
         clusters.append(Cluster(f"c{i}", y, xb, xw))
-    return ClusteredDataset(tuple(clusters), p_b=p_b, p_w=p_w), omega
+    return ClusteredDataset.from_clusters(clusters, p_b=p_b, p_w=p_w), omega
 
 
 def _check_likelihood_oracle(rng):

@@ -95,7 +95,7 @@ def build_profile_system(ds: ClusteredDataset, stats: SufficientStats) -> Profil
     q = 1 + p_b + p_w
     Z = np.empty((g, q))
     Z[:, 0] = 1.0
-    Z[:, 1:1 + p_b] = ds.x_b_matrix
+    Z[:, 1:1 + p_b] = ds.x_b
     Z[:, 1 + p_b:] = stats.xbar_w
     w = np.zeros(q)
     W = np.zeros((q, q))
@@ -404,8 +404,7 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     ps = build_profile_system(ds, stats)
     obj = _Objective(ds, stats, ps, reml)
 
-    y_all = np.concatenate([c.y for c in ds.clusters])
-    var_y = float(np.var(y_all))
+    var_y = float(np.var(ds.y))
     floor_u = math.log(VARIANCE_FLOOR_FACTOR * max(var_y, 1e-12))
 
     theta0 = np.maximum(_moment_start(ds, stats, ps), math.exp(floor_u))

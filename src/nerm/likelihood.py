@@ -28,7 +28,6 @@ block views on the Jacobian expose exactly that partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "log_likelihood",
     "score",
     "score_jacobian",
-    "score_jacobian_rows",
     "expected_score_jacobian",
 ]
 
@@ -125,7 +123,7 @@ def _pieces(ds: ClusteredDataset, stats: SufficientStats, omega: ParameterVector
     """Common per-cluster arrays used by all evaluations."""
     m = stats.m.astype(float)
     t = tau(omega.theta, m)
-    Xb = ds.x_b_matrix
+    Xb = ds.x_b
     Xw = stats.xbar_w
     r = stats.ybar - omega.beta0 - Xb @ omega.beta1 - Xw @ omega.beta2
     return m, t, Xb, Xw, r
@@ -197,7 +195,7 @@ def _assemble(ds, stats, omega, *, r_lin, r_sq, Q_val, Sxy_term):
     """
     m = stats.m.astype(float)
     t = tau(omega.theta, m)
-    Xb = ds.x_b_matrix
+    Xb = ds.x_b
     Xw = stats.xbar_w
     se = omega.sigma_e_sq
     p_b, p_w = ds.p_b, ds.p_w
@@ -273,23 +271,6 @@ def score_jacobian(ds: ClusteredDataset, stats: SufficientStats,
     )
 
 
-def score_jacobian_rows(ds: ClusteredDataset, stats: SufficientStats,
-                        omegas: Sequence[ParameterVector]) -> np.ndarray:
-    """Derivative matrix with each row evaluated at its own parameter vector.
-
-    This is the mean-value form used in consistency arguments: row k of the
-    result equals row k of ``score_jacobian`` evaluated at ``omegas[k]``.
-    Intended for tests; all vectors must share the covariate dimensions.
-    """
-    dim = ds.p_b + ds.p_w + 3
-    if len(omegas) != dim:
-        raise ValueError(f"need exactly {dim} parameter vectors, got {len(omegas)}")
-    out = np.empty((dim, dim))
-    for k, om in enumerate(omegas):
-        out[k] = score_jacobian(ds, stats, om).matrix[k]
-    return out
-
-
 def expected_score_jacobian(ds: ClusteredDataset, stats: SufficientStats,
                             omega: ParameterVector,
                             omega_dot: ParameterVector) -> ScoreJacobian:
@@ -302,7 +283,7 @@ def expected_score_jacobian(ds: ClusteredDataset, stats: SufficientStats,
     The covariates are treated as fixed.
     """
     m = stats.m.astype(float)
-    Xb = ds.x_b_matrix
+    Xb = ds.x_b
     Xw = stats.xbar_w
     t_dot = tau(omega_dot.theta, m)
     mean_r = (

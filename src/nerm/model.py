@@ -13,7 +13,9 @@ x_w_ij vary inside it.
 Everything downstream (likelihood, estimation, asymptotics) consumes the
 per-cluster sufficient statistics computed here: cluster means of y and of
 the within covariates, plus the pooled within-cluster cross products
-S_w_y, S_w_xy, S_w_x.  The precision weight of a cluster mean is
+S_w_y, S_w_xy, S_w_x.  A dataset is stored once, as flat arrays with
+cluster offsets, and every per-cluster reduction here is a whole-array
+numpy operation over them.  The precision weight of a cluster mean is
 
     tau_i = m_i / (sigma_e_sq + m_i * sigma_alpha_sq),
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,11 +48,12 @@ __all__ = [
     "center_within_covariates",
     "sufficient_stats",
     "tau",
+    "parameter_names",
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -152,6 +155,7 @@ class Cluster:
 
     ``x_b`` is the cluster-level covariate vector (length p_b) and ``x_w``
     the (m_i, p_w) matrix of within-cluster covariates aligned with ``y``.
+    Packed by :meth:`ClusteredDataset.from_clusters`.
     """
 
     id: str
@@ -163,10 +167,9 @@ class Cluster:
         object.__setattr__(self, "id", str(self.id))
         object.__setattr__(self, "y", _readonly(np.atleast_1d(self.y)))
         object.__setattr__(self, "x_b", _readonly(np.atleast_1d(self.x_b)))
-        xw = np.array(self.x_w, dtype=float, copy=True)
+        xw = _readonly(self.x_w)
         if xw.ndim == 1:  # allow (m,) shorthand for p_w == 1
             xw = xw[:, None]
-        xw.setflags(write=False)
         object.__setattr__(self, "x_w", xw)
 
     @property
@@ -174,45 +177,92 @@ class Cluster:
         return self.y.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteredDataset:
-    """Immutable container of clusters with declared covariate dimensions."""
+    """Immutable clustered dataset stored as flat read-only arrays.
 
-    clusters: tuple[Cluster, ...]
-    p_b: int
-    p_w: int
+    Rows are grouped by cluster: cluster k holds rows
+    ``offsets[k]:offsets[k+1]`` of ``y`` and ``x_w``, row k of ``x_b`` and
+    label ``ids[k]``.  The covariate dimensions are the column counts of
+    ``x_b`` and ``x_w``; arrays that disagree in shape raise RaggedCovariates.
+    """
+
+    y: np.ndarray          # (n,)
+    x_w: np.ndarray        # (n, p_w)
+    x_b: np.ndarray        # (g, p_b)
+    offsets: np.ndarray    # (g+1,) nondecreasing, from 0 to n
+    ids: np.ndarray        # (g,) cluster labels
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clusters", tuple(self.clusters))
-        object.__setattr__(self, "p_b", int(self.p_b))
-        object.__setattr__(self, "p_w", int(self.p_w))
+        y, x_w, x_b = _readonly(self.y), _readonly(self.x_w), _readonly(self.x_b)
+        offsets, ids = _readonly(self.offsets, np.intp), _readonly(self.ids, str)
+        for name, a in zip(("y", "x_w", "x_b", "offsets", "ids"),
+                           (y, x_w, x_b, offsets, ids)):
+            object.__setattr__(self, name, a)
+        if not (y.ndim == ids.ndim == 1 and x_w.ndim == x_b.ndim == 2
+                and x_w.shape[0] == y.size and x_b.shape[0] == ids.size
+                and offsets.shape == (ids.size + 1,)
+                and offsets[0] == 0 and offsets[-1] == y.size):
+            raise RaggedCovariates(
+                f"dataset arrays disagree: y {y.shape}, x_w {x_w.shape}, "
+                f"x_b {x_b.shape}, offsets {offsets.shape}, ids {ids.shape}"
+            )
+
+    @classmethod
+    def from_clusters(cls, clusters: Sequence[Cluster], p_b: int,
+                      p_w: int) -> "ClusteredDataset":
+        """Pack per-cluster records into the flat arrays; raises
+        RaggedCovariates when a cluster's covariates disagree with p_b/p_w."""
+        for c in clusters:
+            if c.x_b.shape != (p_b,) or c.x_w.shape != (c.m, p_w):
+                raise RaggedCovariates(
+                    f"cluster {c.id!r}: x_b has shape {c.x_b.shape} and x_w "
+                    f"{c.x_w.shape}, expected ({p_b},) and ({c.m}, {p_w})"
+                )
+        return cls(
+            y=np.concatenate([c.y for c in clusters] + [np.empty(0)]),
+            x_w=np.concatenate([c.x_w for c in clusters] + [np.empty((0, p_w))]),
+            x_b=np.array([c.x_b for c in clusters]).reshape(len(clusters), p_b),
+            offsets=np.concatenate(([0], np.cumsum([c.m for c in clusters]))),
+            ids=[c.id for c in clusters],
+        )
+
+    @property
+    def p_b(self) -> int:
+        return self.x_b.shape[1]
+
+    @property
+    def p_w(self) -> int:
+        return self.x_w.shape[1]
 
     @property
     def g(self) -> int:
-        return len(self.clusters)
-
-    @cached_property
-    def cluster_sizes(self) -> np.ndarray:
-        return np.array([c.m for c in self.clusters], dtype=int)
+        return self.ids.size
 
     @property
     def n(self) -> int:
-        return int(self.cluster_sizes.sum())
-
-    @property
-    def m_min(self) -> int:
-        """Smallest cluster size (drives the asymptotic regime)."""
-        return int(self.cluster_sizes.min())
+        return self.y.size
 
     @cached_property
-    def x_b_matrix(self) -> np.ndarray:
-        """(g, p_b) matrix stacking the cluster-level covariates."""
-        if self.g == 0:
-            return np.empty((0, self.p_b))
-        out = np.vstack([c.x_b.reshape(1, -1) for c in self.clusters]) \
-            if self.p_b else np.empty((self.g, 0))
+    def cluster_sizes(self) -> np.ndarray:
+        out = np.diff(self.offsets)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def clusters(self) -> tuple[Cluster, ...]:
+        """Per-cluster copies, built on demand for inspection, tests and the
+        dense cross checks of ``nerm verify``."""
+        o = self.offsets
+        return tuple(Cluster(self.ids[k], self.y[o[k]:o[k + 1]], self.x_b[k],
+                             self.x_w[o[k]:o[k + 1]]) for k in range(self.g))
+
+
+def _cluster_means(ds: ClusteredDataset, a: np.ndarray) -> np.ndarray:
+    """Per-cluster means of the rows of ``a``; needs nonempty clusters."""
+    sizes = ds.cluster_sizes
+    sums = np.add.reduceat(a, ds.offsets[:-1], axis=0)
+    return sums / (sizes if a.ndim == 1 else sizes[:, None])
 
 
 def validate_dataset(ds: ClusteredDataset) -> ClusteredDataset:
@@ -226,29 +276,23 @@ def validate_dataset(ds: ClusteredDataset) -> ClusteredDataset:
 
     Raises:
         EmptyDataset: fewer than two clusters, or an empty cluster.
-        RaggedCovariates: covariate shapes disagree with p_b/p_w.
         NonFiniteValue: NaN or infinity in y or any covariate.
         DegenerateWithinDesign: no cluster has two observations, so the
             within-cluster variance carries no information (n == g).
     """
     if ds.g < 2:
         raise EmptyDataset(f"need at least 2 clusters, got {ds.g}")
-    for c in ds.clusters:
-        if c.m < 1:
-            raise EmptyDataset(f"cluster {c.id!r} has no observations")
-        if c.x_b.shape != (ds.p_b,):
-            raise RaggedCovariates(
-                f"cluster {c.id!r}: x_b has shape {c.x_b.shape}, expected ({ds.p_b},)"
-            )
-        if c.x_w.shape != (c.m, ds.p_w):
-            raise RaggedCovariates(
-                f"cluster {c.id!r}: x_w has shape {c.x_w.shape}, "
-                f"expected ({c.m}, {ds.p_w})"
-            )
-        if not np.all(np.isfinite(c.y)):
-            raise NonFiniteValue(f"cluster {c.id!r}: non-finite response")
-        if not (np.all(np.isfinite(c.x_b)) and np.all(np.isfinite(c.x_w))):
-            raise NonFiniteValue(f"cluster {c.id!r}: non-finite covariate")
+    empty = np.flatnonzero(ds.cluster_sizes < 1)
+    if empty.size:
+        raise EmptyDataset(f"cluster {str(ds.ids[empty[0]])!r} has no observations")
+    starts = ds.offsets[:-1]
+    bad_y = np.logical_or.reduceat(~np.isfinite(ds.y), starts)
+    bad_x = np.logical_or.reduceat(~np.all(np.isfinite(ds.x_w), axis=1), starts) \
+        | ~np.all(np.isfinite(ds.x_b), axis=1)
+    if np.any(bad_y | bad_x):
+        k = int(np.argmax(bad_y | bad_x))
+        what = "response" if bad_y[k] else "covariate"
+        raise NonFiniteValue(f"cluster {str(ds.ids[k])!r}: non-finite {what}")
     if ds.n <= ds.g:
         raise DegenerateWithinDesign(
             "every cluster is a singleton (n == g); the residual variance "
@@ -266,7 +310,7 @@ def center_within_covariates(
     (the "contextual" parameterization), so no information is lost.
 
     Args:
-        ds: dataset with p_w >= 1.
+        ds: validated dataset with p_w >= 1.
         add_contextual: append each cluster's pre-centering mean of the
             within covariates to its between covariates.
 
@@ -275,13 +319,12 @@ def center_within_covariates(
     """
     if ds.p_w == 0:
         raise NoWithinCovariates("dataset has no within-cluster covariates")
-    new_clusters = []
-    for c in ds.clusters:
-        mean_w = c.x_w.mean(axis=0)
-        x_b = np.concatenate([c.x_b, mean_w]) if add_contextual else c.x_b
-        new_clusters.append(Cluster(c.id, c.y, x_b, c.x_w - mean_w))
-    p_b = ds.p_b + (ds.p_w if add_contextual else 0)
-    return ClusteredDataset(tuple(new_clusters), p_b=p_b, p_w=ds.p_w)
+    mean_w = _cluster_means(ds, ds.x_w)
+    x_b = np.hstack([ds.x_b, mean_w]) if add_contextual else ds.x_b
+    return ClusteredDataset(
+        y=ds.y, x_w=ds.x_w - np.repeat(mean_w, ds.cluster_sizes, axis=0),
+        x_b=x_b, offsets=ds.offsets, ids=ds.ids,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +353,8 @@ class SufficientStats:
 
     def __post_init__(self) -> None:
         for name in ("m", "ybar", "xbar_w", "S_w_xy", "S_w_x"):
-            a = np.asarray(getattr(self, name))
-            if name == "m":
-                a = a.astype(int)
-            else:
-                a = a.astype(float)
-            a = a.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name),
+                                                     int if name == "m" else float))
         object.__setattr__(self, "S_w_y", float(self.S_w_y))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "g", int(self.g))
@@ -328,31 +365,18 @@ def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:
 
     Uses a two-pass scheme (means first, then deviations) for numerical
     stability; each cluster contributes independently, so the pooled
-    cross products do not depend on cluster ordering.
+    cross products do not depend on cluster ordering.  Needs nonempty
+    clusters (see :func:`validate_dataset`).
     """
-    g = ds.g
-    p_w = ds.p_w
-    m = np.empty(g, dtype=int)
-    ybar = np.empty(g)
-    xbar_w = np.empty((g, p_w))
-    S_w_y = 0.0
-    S_w_xy = np.zeros(p_w)
-    S_w_x = np.zeros((p_w, p_w))
-    for k, c in enumerate(ds.clusters):
-        m[k] = c.m
-        ybar[k] = c.y.mean()
-        mean_w = c.x_w.mean(axis=0) if c.m else np.zeros(p_w)
-        xbar_w[k] = mean_w
-        dy = c.y - ybar[k]
-        S_w_y += float(dy @ dy)
-        if p_w:
-            dx = c.x_w - mean_w
-            S_w_xy += dx.T @ dy
-            S_w_x += dx.T @ dx
+    m = ds.cluster_sizes
+    ybar = _cluster_means(ds, ds.y)
+    xbar_w = _cluster_means(ds, ds.x_w)
+    dy = ds.y - np.repeat(ybar, m)
+    dx = ds.x_w - np.repeat(xbar_w, m, axis=0)
     return SufficientStats(
         m=m, ybar=ybar, xbar_w=xbar_w,
-        S_w_y=S_w_y, S_w_xy=S_w_xy, S_w_x=S_w_x,
-        n=int(m.sum()), g=g,
+        S_w_y=float(dy @ dy), S_w_xy=dx.T @ dy, S_w_x=dx.T @ dx,
+        n=ds.n, g=ds.g,
     )
 
 
@@ -375,3 +399,9 @@ def tau(theta: tuple[float, float], m_i) -> np.ndarray | float:
     m_arr = np.asarray(m_i, dtype=float)
     out = m_arr / (sigma_e_sq + m_arr * sigma_alpha_sq)
     return float(out) if np.isscalar(m_i) or out.ndim == 0 else out
+
+
+def parameter_names(p_b: int, p_w: int) -> list[str]:
+    """Names in the canonical order (beta0, beta1, sigma_alpha_sq, beta2, sigma_e_sq)."""
+    return (["beta0"] + [f"beta1[{k}]" for k in range(p_b)] + ["sigma_alpha_sq"]
+            + [f"beta2[{r}]" for r in range(p_w)] + ["sigma_e_sq"])

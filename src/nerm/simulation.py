@@ -39,8 +39,12 @@ from .errors import (
     NermError,
 )
 from .estimation import fit_ml, fit_reml
-from .model import Cluster, ClusteredDataset, ParameterVector, sufficient_stats
-from .model_names import parameter_names
+from .model import (
+    ClusteredDataset,
+    ParameterVector,
+    parameter_names,
+    sufficient_stats,
+)
 
 __all__ = [
     "NormalDist",
@@ -248,7 +252,7 @@ class FixedCovariates:
         return self.x_w[0].shape[1] if self.x_w else 0
 
     def draw(self, rng, sizes):
-        return self.x_b, self.x_w
+        return self.x_b, np.concatenate(self.x_w)
 
 
 @dataclass(frozen=True)
@@ -305,11 +309,7 @@ class RandomCovariates:
         u = rng.standard_normal((g, self.p_w)) @ self._Lu.T
         n = int(np.sum(sizes))
         v = rng.standard_normal((n, self.p_w)) @ self._Lv.T
-        x_w, pos = [], 0
-        for i, m in enumerate(sizes):
-            x_w.append(self.mu_w + u[i] + v[pos:pos + m])
-            pos += m
-        return x_b, tuple(x_w)
+        return x_b, self.mu_w + np.repeat(u, sizes, axis=0) + v
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +388,17 @@ def _generate(cfg: SimConfig, replicate_index: int):
     if cfg.covariate_model is not None:
         x_b, x_w = cfg.covariate_model.draw(rng, sizes)
     else:
-        x_b = np.empty((cfg.g, 0))
-        x_w = tuple(np.empty((m, 0)) for m in sizes)
-    alpha = cfg.alpha_dist.sample(rng, cfg.g, om.sigma_alpha_sq)
-    e_all = cfg.e_dist.sample(rng, cfg.n, om.sigma_e_sq)
-    clusters, ebar, pos = [], np.empty(cfg.g), 0
-    for i, m in enumerate(sizes):
-        e = e_all[pos:pos + m]
-        pos += m
-        ebar[i] = e.mean()
-        y = om.beta0 + float(x_b[i] @ om.beta1) + x_w[i] @ om.beta2 \
-            + alpha[i] + e
-        clusters.append(Cluster(f"c{i:04d}", y, x_b[i], x_w[i]))
-    ds = ClusteredDataset(tuple(clusters), p_b=om.p_b, p_w=om.p_w)
-    return ds, np.asarray(alpha, dtype=float), ebar
+        x_b, x_w = np.empty((cfg.g, 0)), np.empty((cfg.n, 0))
+    alpha = np.asarray(cfg.alpha_dist.sample(rng, cfg.g, om.sigma_alpha_sq),
+                       dtype=float)
+    e = cfg.e_dist.sample(rng, cfg.n, om.sigma_e_sq)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    ebar = np.add.reduceat(e, offsets[:-1]) / sizes
+    y = np.repeat(om.beta0 + x_b @ om.beta1, sizes) + x_w @ om.beta2 \
+        + np.repeat(alpha, sizes) + e
+    ids = np.char.add("c", np.char.zfill(np.arange(cfg.g).astype(str), 4))
+    ds = ClusteredDataset(y=y, x_w=x_w, x_b=x_b, offsets=offsets, ids=ids)
+    return ds, alpha, ebar
 
 
 def generate_dataset(cfg: SimConfig, replicate_index: int = 0) -> ClusteredDataset:

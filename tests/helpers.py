@@ -4,14 +4,17 @@ Everything here deliberately avoids the library's own computational path:
 sufficient statistics via naive double loops, the log-likelihood via a dense
 per-cluster multivariate normal density, derivatives via central finite
 differences.  Agreement between these and the package is what the tests
-assert, so none of this may ever call into the code under test except to
-construct plain data containers.
+assert, so none of these oracles may ever call into the code under test
+except to construct plain data containers.  The one exception is
+:func:`score_jacobian_rows`, a test utility that composes the library's
+``score_jacobian`` row by row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from nerm.likelihood import score_jacobian
 from nerm.model import Cluster, ClusteredDataset, ParameterVector
 
 # ---------------------------------------------------------------------------
@@ -32,7 +35,7 @@ def make_dataset(y_by_cluster, x_b=None, x_w=None, p_b=0, p_w=0) -> ClusteredDat
         else:
             xw = np.empty((y.size, 0))
         clusters.append(Cluster(f"c{k:03d}", y, xb, xw))
-    return ClusteredDataset(tuple(clusters), p_b=p_b, p_w=p_w)
+    return ClusteredDataset.from_clusters(clusters, p_b=p_b, p_w=p_w)
 
 
 def random_dataset(rng, g, m_max=8, p_b=1, p_w=1, m_min=1):
@@ -100,6 +103,53 @@ def naive_sufficient_stats(ds: ClusteredDataset):
             np.array(xbar).reshape(ds.g, ds.p_w), S_w_y, S_w_xy, S_w_x)
 
 
+def naive_center(ds: ClusteredDataset, add_contextual: bool):
+    """Per-cluster (x_b, x_w) after centering, by explicit loops."""
+    out = []
+    for c in ds.clusters:
+        mi = len(c.y)
+        mean = [sum(float(c.x_w[j, r]) for j in range(mi)) / mi
+                for r in range(ds.p_w)]
+        x_w = [[float(c.x_w[j, r]) - mean[r] for r in range(ds.p_w)]
+               for j in range(mi)]
+        x_b = [float(v) for v in c.x_b] + (mean if add_contextual else [])
+        out.append((np.array(x_b), np.array(x_w).reshape(mi, ds.p_w)))
+    return out
+
+
+def naive_first_nonfinite(ds: ClusteredDataset):
+    """(cluster id, "response" or "covariate") of the first non-finite
+    value, checking each cluster's responses before its covariates."""
+    for c in ds.clusters:
+        if not all(np.isfinite(float(v)) for v in c.y):
+            return c.id, "response"
+        values = [float(v) for v in c.x_b] + [float(v) for v in c.x_w.ravel()]
+        if not all(np.isfinite(v) for v in values):
+            return c.id, "covariate"
+    return None
+
+
+def naive_moments(ds: ClusteredDataset, omega: ParameterVector):
+    """(mu3_alpha, mu4_alpha, mu3_e, mu4_e) from fit residuals by loops:
+    power means of the cluster-mean residuals and of the within-centered
+    observation residuals."""
+    m, ybar, xbar, *_ = naive_sufficient_stats(ds)
+    s3a = s4a = s3e = s4e = 0.0
+    for k, c in enumerate(ds.clusters):
+        rb = ybar[k] - omega.beta0 \
+            - sum(float(c.x_b[r]) * omega.beta1[r] for r in range(ds.p_b)) \
+            - sum(xbar[k, r] * omega.beta2[r] for r in range(ds.p_w))
+        s3a += rb ** 3
+        s4a += rb ** 4
+        for j in range(m[k]):
+            d = float(c.y[j]) - ybar[k] - sum(
+                (float(c.x_w[j, r]) - xbar[k, r]) * omega.beta2[r]
+                for r in range(ds.p_w))
+            s3e += d ** 3
+            s4e += d ** 4
+    return s3a / ds.g, s4a / ds.g, s3e / m.sum(), s4e / m.sum()
+
+
 # ---------------------------------------------------------------------------
 # dense multivariate normal log-density oracle
 # ---------------------------------------------------------------------------
@@ -156,6 +206,27 @@ def fd_jacobian(f, x, scale=1e-6):
         xm[k] -= h
         jac[:, k] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
     return jac
+
+
+# ---------------------------------------------------------------------------
+# mean-value Jacobian (built on the library's score_jacobian, not an oracle)
+# ---------------------------------------------------------------------------
+
+
+def score_jacobian_rows(ds, stats, omegas) -> np.ndarray:
+    """Derivative matrix with each row evaluated at its own parameter vector.
+
+    This is the mean-value form used in consistency arguments: row k of the
+    result equals row k of ``score_jacobian`` evaluated at ``omegas[k]``.
+    All vectors must share the covariate dimensions.
+    """
+    dim = ds.p_b + ds.p_w + 3
+    if len(omegas) != dim:
+        raise ValueError(f"need exactly {dim} parameter vectors, got {len(omegas)}")
+    out = np.empty((dim, dim))
+    for k, om in enumerate(omegas):
+        out[k] = score_jacobian(ds, stats, om).matrix[k]
+    return out
 
 
 def close(a, b, rtol, floor=1.0):

@@ -168,7 +168,7 @@ def test_limits_from_dataset_matches_definitions():
     ds, _ = random_dataset(rng, g=6, m_max=5, p_b=2, p_w=1, m_min=2)
     st = sufficient_stats(ds)
     lim = CovariateLimits.from_dataset(ds, st)
-    Xb = ds.x_b_matrix
+    Xb = ds.x_b
     assert np.allclose(lim.c1, Xb.mean(axis=0))
     assert np.allclose(lim.C2, Xb.T @ Xb / ds.g)
     assert np.allclose(lim.C3, st.S_w_x / st.n)

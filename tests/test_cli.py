@@ -101,10 +101,26 @@ def test_read_csv_free_column_order(tmp_path):
     ("cluster,y\na,one\n", "non-numeric"),
     ("cluster,y\n,1\n", "empty cluster label"),
     ("cluster,y,b_1\na,1,5\na,2,6\n", "between covariate changes"),
+    ("cluster,y,b_1\na,1,5\nb,2,6\nb,3,6\nb,4,7\n", ":5: between covariate changes"),
+    ("cluster, y, w_1\na, one, 0.1\n", "non-numeric"),
+    ("cluster,y\na,1\na,2,3\n", ":3: 3 fields, the header has 2"),
+    ("cluster,y,w_1\na,1,0.5\na,2\n", ":3: 2 fields, the header has 3"),
 ])
 def test_read_csv_rejects_malformed(tmp_path, text, fragment):
     with pytest.raises(ParseError, match=fragment):
         read_dataset_csv(_write(tmp_path, text))
+
+
+def test_read_csv_spaced_header(tmp_path):
+    text = ("cluster, y, b_1, w_1\n"
+            "a, 1.0, 9, 0.1\n"
+            "a, 2.0, 9, 0.2\n"
+            "b, 3.0, 8, 0.3\n")
+    ds = read_dataset_csv(_write(tmp_path, text))
+    assert ds.ids.tolist() == ["a", "b"]
+    assert ds.y.tolist() == [1.0, 2.0, 3.0]
+    assert ds.x_b.tolist() == [[9.0], [8.0]]
+    assert ds.x_w.tolist() == [[0.1], [0.2], [0.3]]
 
 
 def test_read_csv_missing_file(tmp_path):
@@ -115,7 +131,7 @@ def test_read_csv_missing_file(tmp_path):
 def test_csv_round_trip_is_exact(tmp_path):
     # 17 significant digits reproduce doubles exactly
     awkward = [math.pi, 1.0 / 3.0, 6.02214076e23, 5e-324, -0.1]
-    ds = ClusteredDataset(
+    ds = ClusteredDataset.from_clusters(
         (Cluster("a", awkward[:3], [awkward[3]], [[v] for v in awkward[:3]]),
          Cluster("b", awkward[3:], [awkward[4]], [[v] for v in awkward[3:]])),
         p_b=1, p_w=1)

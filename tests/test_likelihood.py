@@ -16,7 +16,6 @@ from nerm.likelihood import (
     log_likelihood,
     score,
     score_jacobian,
-    score_jacobian_rows,
 )
 from nerm.model import Cluster, ClusteredDataset, ParameterVector, sufficient_stats
 
@@ -28,6 +27,7 @@ from .helpers import (
     make_dataset,
     random_dataset,
     random_omega,
+    score_jacobian_rows,
 )
 
 
@@ -184,7 +184,7 @@ def _simulate_on_design(rng, design, omega):
         e = rng.normal(scale=math.sqrt(omega.sigma_e_sq), size=c.m)
         y = omega.beta0 + xb @ omega.beta1 + xw @ omega.beta2 + alpha + e
         clusters.append(Cluster(c.id, y, xb, xw))
-    return ClusteredDataset(tuple(clusters), p_b=design.p_b, p_w=design.p_w)
+    return ClusteredDataset.from_clusters(clusters, p_b=design.p_b, p_w=design.p_w)
 
 
 def design_covs(ds):

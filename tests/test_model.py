@@ -87,7 +87,7 @@ def test_validate_needs_two_clusters():
 
 
 def test_validate_rejects_empty_cluster():
-    ds = ClusteredDataset(
+    ds = ClusteredDataset.from_clusters(
         (Cluster("a", [1.0], np.empty(0), np.empty((1, 0))),
          Cluster("b", np.empty(0), np.empty(0), np.empty((0, 0)))),
         p_b=0, p_w=0)
@@ -96,12 +96,11 @@ def test_validate_rejects_empty_cluster():
 
 
 def test_validate_rejects_ragged_covariates():
-    ds = ClusteredDataset(
-        (Cluster("a", [1.0, 2.0], [1.0], [[0.1], [0.2]]),
-         Cluster("b", [3.0], [1.0, 9.0], [[0.3]])),
-        p_b=1, p_w=1)
     with pytest.raises(RaggedCovariates):
-        validate_dataset(ds)
+        ClusteredDataset.from_clusters(
+            (Cluster("a", [1.0, 2.0], [1.0], [[0.1], [0.2]]),
+             Cluster("b", [3.0], [1.0, 9.0], [[0.3]])),
+            p_b=1, p_w=1)
 
 
 def test_validate_rejects_nonfinite():
@@ -183,8 +182,8 @@ def test_sufficient_stats_permutation_invariant():
     rng = np.random.default_rng(6)
     ds, _ = random_dataset(rng, g=5, m_max=6, p_b=1, p_w=1)
     perm = rng.permutation(ds.g)
-    ds2 = ClusteredDataset(tuple(ds.clusters[k] for k in perm),
-                           p_b=ds.p_b, p_w=ds.p_w)
+    ds2 = ClusteredDataset.from_clusters(tuple(ds.clusters[k] for k in perm),
+                                         p_b=ds.p_b, p_w=ds.p_w)
     a, b = sufficient_stats(ds), sufficient_stats(ds2)
     assert np.isclose(a.S_w_y, b.S_w_y)
     assert np.allclose(a.S_w_xy, b.S_w_xy)

@@ -16,8 +16,7 @@ from nerm.errors import (
     InvalidConfig,
     InvalidDistribution,
 )
-from nerm.model import ParameterVector
-from nerm.model_names import parameter_names
+from nerm.model import ParameterVector, parameter_names
 from nerm.simulation import (
     CenteredGamma,
     CenteredLogNormal,
@@ -204,7 +203,7 @@ def test_fixed_covariates_pass_through():
     ds1 = generate_dataset(cfg, 0)
     ds2 = generate_dataset(cfg, 1)
     for ds in (ds1, ds2):
-        assert np.array_equal(ds.x_b_matrix, x_b)
+        assert np.array_equal(ds.x_b, x_b)
         for c, w in zip(ds.clusters, x_w):
             assert np.array_equal(c.x_w, w)
     assert not np.array_equal(ds1.clusters[0].y, ds2.clusters[0].y)
