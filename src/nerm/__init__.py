@@ -16,7 +16,6 @@ from .errors import (
     InvalidConfig,
     InvalidDistribution,
     NermError,
-    NoConvergence,
     NonFiniteValue,
     NonPositiveVariance,
     NotPositiveDefinite,

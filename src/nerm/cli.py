@@ -7,7 +7,7 @@ numbering must be contiguous from 1.  Clusters are formed by grouping rows
 on the label, in order of first appearance.
 
 Exit codes: 0 success, 2 completed with flags raised (variance on the
-boundary, degenerate interval), 1 failure (bad input, no convergence).
+boundary, degenerate interval), 1 failure (bad input, singular design).
 
 All real numbers are written with 17 significant digits, which round-trips
 IEEE doubles exactly.

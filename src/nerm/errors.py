@@ -14,7 +14,6 @@ __all__ = [
     "NoWithinCovariates",
     "NonPositiveVariance",
     "SingularDelta",
-    "NoConvergence",
     "DegenerateWithinDesign",
     "DegenerateBetweenDesign",
     "NotPositiveDefinite",
@@ -60,10 +59,6 @@ class NonPositiveVariance(NermError):
 
 class SingularDelta(NermError):
     """The profiled normal-equation matrix is singular (collinear design)."""
-
-
-class NoConvergence(NermError):
-    """Iteration limit reached without meeting the stopping rule."""
 
 
 class DegenerateWithinDesign(NermError):

@@ -1,47 +1,52 @@
-"""ML and REML fitting by profiling out the regression coefficients.
+"""ML and REML fitting as a bounded scalar search in the variance ratio.
 
-For fixed variance components theta = (sigma_alpha_sq, sigma_e_sq) the
-log-likelihood is an exact quadratic in the stacked coefficient vector
-beta = (beta0, beta1, beta2), maximized in closed form by the weighted
+Write gamma = sigma_alpha_sq / sigma_e_sq and w_i = m_i / (1 + m_i gamma),
+so tau_i = w_i / sigma_e_sq.  For fixed gamma the log-likelihood is
+
+    l = (1/2) sum_i log w_i - (n/2) log sigma_e_sq - RSS / (2 sigma_e_sq),
+    RSS(beta, gamma) = Q(beta2) + sum_i w_i r_i^2,
+
+so the stacked coefficients beta = (beta0, beta1, beta2) come from the
 normal equations
 
-    Delta(theta) beta_hat(theta) = sum_i tau_i z_i ybar_i + w / sigma_e_sq,
-    Delta(theta) = sum_i tau_i z_i z_i' + W / sigma_e_sq,
+    M(gamma) beta = Z' diag(w) ybar + w,   M(gamma) = Z' diag(w) Z + W,
 
-with z_i = (1, x_b_i, xbar_w_i), w = (0, 0, S_w_xy) and W the block
-diagonal matrix holding S_w_x in the within corner.  The two variance
-components are then found by Newton steps with backtracking on the profiled
-objective, parameterized as u = log theta so the iterates stay positive.
-The gradient of the profiled objective is the variance block of the score
-at (beta_hat(theta), theta) (envelope argument); its Hessian is the Schur
-complement of the coefficient block in the full derivative matrix of the
-score, both in closed form.
-
-REML maximizes the adjusted profile objective
+which do not involve sigma_e_sq (z_i = (1, x_b_i, xbar_w_i), w = (0, 0,
+S_w_xy), W the block diagonal matrix holding S_w_x in the within corner),
+and sigma_e_sq = RSS / df in closed form, with df = n for ML.  REML
+maximizes the restricted objective
 
     l_R(theta) = l(beta_hat(theta), theta) - (1/2) log det Delta(theta),
 
-whose gradient is the variance block of the adjusted estimating function
-psi_A, i.e. the score plus -(1/2) tr{Delta^-1 dDelta/dtheta_k}.  Solving
-psi_A = 0 jointly in all parameters or maximizing the adjusted profile in
-theta alone give the same fit; tests exercise both routes.
+Delta = M / sigma_e_sq, which profiles the same way with df = n - q and an
+extra -(1/2) log det M.  What is left is a function of gamma >= 0 alone,
+with the closed-form derivative
 
-If a log-variance is driven below log(1e-8 * var(y)) it is clamped there
-and the result carries ``boundary_flag``; such fits are reported, not
-raised.  A coarse 11 x 11 grid around the moment-based start guards against
-stopping at a poor local maximum: the final answer is the better of Newton
-from the start and Newton from the best grid point.
+    -(1/2) sum_i w_i + (df/2) sum_i w_i^2 r_i^2 / RSS
+        [+ (1/2) tr{M^-1 Z' diag(w^2) Z} for REML].
+
+This is the profiled deviance of lme4 (Bates, Maechler, Bolker & Walker,
+J. Stat. Softw. 67(1), 2015).  A fixed log-spaced scan of gamma guards
+against a second mode, and a bracketed false-position solve (Illinois
+variant) finds each root of the derivative the scan brackets.  gamma = 0
+is the only boundary: when the derivative there is <= 0 the fit is
+reported with ``boundary_flag`` and sigma_alpha_sq = FLOOR * sigma_e_sq.
+The other way to leave the interior, sigma_e_sq -> 0, happens only when the
+pooled within residual Q_min is zero to rounding; that is decided before
+the search and answered in closed form, again with ``boundary_flag``.
+Collinearity of the design does not depend on gamma, so ``SingularDelta``
+is also decided once, up front.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWithinDesign, NoConvergence, SingularDelta
-from .likelihood import ScoreVector, log_likelihood, score, score_jacobian
+from .errors import DegenerateWithinDesign, SingularDelta
+from .likelihood import ScoreVector, log_likelihood, score
 from .model import (
     ClusteredDataset,
     ParameterVector,
@@ -62,10 +67,9 @@ __all__ = [
     "fit_reml",
 ]
 
-MAX_ITER = 200
-STEP_TOL = 1e-10        # infinity norm of the Newton step in log space
-GRAD_TOL = 1e-8         # norm of the profiled gradient
-VARIANCE_FLOOR_FACTOR = 1e-8   # times the total sample variance of y
+FLOOR = 1e-8   # ratio of a vanished variance to the other one, as reported
+_SCAN = np.concatenate(([0.0], FLOOR * 10.0 ** np.arange(17)))  # up to 1e8
+_GAMMA_TOL = 1e-12   # relative width of a solved bracket
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +113,23 @@ def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def _profile(ps: ProfileSystem, stats: SufficientStats, theta):
-    """Solve the normal equations; returns (beta_hat, Delta, chol, logdet)."""
-    t = tau(theta, stats.m)
-    se = float(theta[1])
-    Delta = (ps.Z.T * t) @ ps.Z + ps.W / se
-    rhs = ps.Z.T @ (t * stats.ybar) + ps.w / se
+def _cholesky(M: np.ndarray) -> np.ndarray:
     try:
-        L = np.linalg.cholesky(Delta)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise SingularDelta(
             "profiled normal equations are singular; the intercept-plus-"
             "covariate design is collinear"
         ) from exc
-    beta = _chol_solve(L, rhs)
+
+
+def _profile(ps: ProfileSystem, stats: SufficientStats, theta):
+    """Solve the normal equations; returns (beta_hat, Delta, chol, logdet)."""
+    t = tau(theta, stats.m)
+    se = float(theta[1])
+    Delta = (ps.Z.T * t) @ ps.Z + ps.W / se
+    L = _cholesky(Delta)
+    beta = _chol_solve(L, ps.Z.T @ (t * stats.ybar) + ps.w / se)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return beta, Delta, L, logdet
 
@@ -164,198 +171,122 @@ def reml_criterion(ds: ClusteredDataset, stats: SufficientStats, theta) -> float
     return log_likelihood(ds, stats, _omega_at(ps, beta, theta)) - 0.5 * logdet
 
 
-def _delta_derivatives(ps: ProfileSystem, stats: SufficientStats, theta):
-    """First and second derivatives of Delta(theta) in closed form."""
-    t = tau(theta, stats.m)
-    m = stats.m.astype(float)
-    se = float(theta[1])
-    t2, t3 = t * t, t * t * t
-    Z = ps.Z
-    dA = -(Z.T * t2) @ Z
-    dE = -(Z.T * (t2 / m)) @ Z - ps.W / se**2
-    ddAA = (Z.T * (2.0 * t3)) @ Z
-    ddAE = (Z.T * (2.0 * t3 / m)) @ Z
-    ddEE = (Z.T * (2.0 * t3 / (m * m))) @ Z + 2.0 * ps.W / se**3
-    return dA, dE, ddAA, ddAE, ddEE
-
-
 def adjusted_score(ds: ClusteredDataset, stats: SufficientStats,
                    omega: ParameterVector) -> ScoreVector:
     """REML estimating function: the score with trace-corrected variance entries.
 
     The coefficient entries coincide with the plain score; the variance
-    entries subtract (1/2) tr{Delta^-1 dDelta/dtheta_k}.  Its root is the
-    REML estimator, and its variance entries evaluated at the profiled
-    coefficients are the gradient of :func:`reml_criterion`.
+    entries subtract (1/2) tr{Delta^-1 dDelta/dtheta_k}, with
+    dDelta/dsigma_alpha_sq = -Z' diag(tau^2) Z and dDelta/dsigma_e_sq =
+    -Z' diag(tau^2/m) Z - W/sigma_e_sq^2.  Its root is the REML estimator,
+    and its variance entries evaluated at the profiled coefficients are the
+    gradient of :func:`reml_criterion`.
     """
     ps = build_profile_system(ds, stats)
     _, _, L, _ = _profile(ps, stats, omega.theta)
-    dA, dE, _, _, _ = _delta_derivatives(ps, stats, omega.theta)
+    t = tau(omega.theta, stats.m)
+    t2 = t * t
+    dA = -(ps.Z.T * t2) @ ps.Z
+    dE = -(ps.Z.T * (t2 / stats.m)) @ ps.Z - ps.W / omega.sigma_e_sq**2
     sc = score(ds, stats, omega)
-    adj_a = -0.5 * float(np.trace(_chol_solve(L, dA)))
-    adj_e = -0.5 * float(np.trace(_chol_solve(L, dE)))
     return ScoreVector(
         l_beta0=sc.l_beta0,
         l_beta1=sc.l_beta1,
-        l_sigma_alpha_sq=sc.l_sigma_alpha_sq + adj_a,
+        l_sigma_alpha_sq=sc.l_sigma_alpha_sq - 0.5 * float(np.trace(_chol_solve(L, dA))),
         l_beta2=sc.l_beta2,
-        l_sigma_e_sq=sc.l_sigma_e_sq + adj_e,
+        l_sigma_e_sq=sc.l_sigma_e_sq - 0.5 * float(np.trace(_chol_solve(L, dE))),
     )
 
 
 # ---------------------------------------------------------------------------
-# Newton iteration on u = log(theta)
+# the scalar problem in gamma
 # ---------------------------------------------------------------------------
 
-def _theta_grad_hess(ds, stats, ps, omega, L, reml):
-    """Gradient and Hessian of the profiled objective with respect to theta.
+class _Point(NamedTuple):
+    gamma: float
+    value: float      # profiled objective, up to a constant
+    slope: float      # its derivative in gamma
+    beta: np.ndarray
+    sigma_e_sq: float
 
-    Envelope: gradient = variance block of the (adjusted) score at the
-    profiled coefficients.  Hessian = Schur complement of the coefficient
-    block of the score derivative matrix, plus, for REML, the exact second
-    derivative of -(1/2) log|Delta|.
-    """
-    p_b, p_w = ps.p_b, ps.p_w
-    idx_a, idx_e = 1 + p_b, p_b + p_w + 2
-    beta_idx = list(range(0, 1 + p_b)) + list(range(2 + p_b, 2 + p_b + p_w))
-    th_idx = [idx_a, idx_e]
 
-    sc = score(ds, stats, omega)
-    J = score_jacobian(ds, stats, omega).matrix
-    grad = sc.flat[th_idx]
-    Jbb = J[np.ix_(beta_idx, beta_idx)]
-    Jbt = J[np.ix_(beta_idx, th_idx)]
-    Jtb = J[np.ix_(th_idx, beta_idx)]
-    Jtt = J[np.ix_(th_idx, th_idx)]
-    hess = Jtt - Jtb @ np.linalg.solve(Jbb, Jbt)
-
+def _profiled(ps: ProfileSystem, stats: SufficientStats, gamma: float,
+              reml: bool) -> _Point:
+    """Coefficients, sigma_e_sq, objective and slope at one gamma >= 0."""
+    m = stats.m.astype(float)
+    w = m / (1.0 + m * gamma)
+    L = _cholesky((ps.Z.T * w) @ ps.Z + ps.W)
+    beta = _chol_solve(L, ps.Z.T @ (w * stats.ybar) + ps.w)
+    r = stats.ybar - ps.Z @ beta
+    b2 = beta[1 + ps.p_b:]
+    rss = float(stats.S_w_y - 2.0 * (stats.S_w_xy @ b2) + b2 @ stats.S_w_x @ b2
+                + np.sum(w * r * r))
+    df = stats.n - (ps.Z.shape[1] if reml else 0)
+    value = 0.5 * float(np.sum(np.log(w))) - 0.5 * df * np.log(rss / df)
+    slope = -0.5 * float(np.sum(w)) + 0.5 * df * float(np.sum((w * r) ** 2)) / rss
     if reml:
-        dA, dE, ddAA, ddAE, ddEE = _delta_derivatives(ps, stats, omega.theta)
-        DdA = _chol_solve(L, dA)
-        DdE = _chol_solve(L, dE)
-        grad = grad + np.array([-0.5 * np.trace(DdA), -0.5 * np.trace(DdE)])
-        h_aa = -0.5 * (np.trace(_chol_solve(L, ddAA)) - np.trace(DdA @ DdA))
-        h_ae = -0.5 * (np.trace(_chol_solve(L, ddAE)) - np.trace(DdA @ DdE))
-        h_ee = -0.5 * (np.trace(_chol_solve(L, ddEE)) - np.trace(DdE @ DdE))
-        hess = hess + np.array([[h_aa, h_ae], [h_ae, h_ee]])
-    return grad, hess
+        value -= float(np.sum(np.log(np.diag(L))))
+        slope += 0.5 * float(np.trace(_chol_solve(L, (ps.Z.T * (w * w)) @ ps.Z)))
+    return _Point(gamma, value, slope, beta, rss / df)
 
 
-class _Objective:
-    """Profiled (restricted) objective as a function of u = log(theta)."""
-
-    def __init__(self, ds, stats, ps, reml):
-        self.ds, self.stats, self.ps, self.reml = ds, stats, ps, reml
-
-    def value(self, u):
-        """Returns (value, omega, chol) or (-inf, None, None) if unusable."""
-        theta = np.exp(u)
-        if not np.all(np.isfinite(theta)) or np.any(theta <= 0.0):
-            return -np.inf, None, None
-        try:
-            beta, _, L, logdet = _profile(self.ps, self.stats, theta)
-        except SingularDelta:
-            raise
-        except np.linalg.LinAlgError:
-            return -np.inf, None, None
-        omega = _omega_at(self.ps, beta, theta)
-        val = log_likelihood(self.ds, self.stats, omega)
-        if self.reml:
-            val -= 0.5 * logdet
-        if not np.isfinite(val):
-            return -np.inf, None, None
-        return val, omega, L
-
-    def grad_hess_u(self, u, omega, L):
-        theta = np.exp(u)
-        g_th, H_th = _theta_grad_hess(self.ds, self.stats, self.ps, omega,
-                                      L, self.reml)
-        g_u = theta * g_th
-        H_u = np.outer(theta, theta) * H_th + np.diag(theta * g_th)
-        return g_u, H_u
+def _root(at, lo: _Point, hi: _Point) -> _Point:
+    """Root of the slope in [lo, hi], lo.slope > 0 >= hi.slope, by Illinois
+    false position; returns the positive end point with the smaller |slope|."""
+    f_lo, f_hi, kept = lo.slope, hi.slope, 0
+    for _ in range(100):
+        if hi.slope == 0.0 or hi.gamma - lo.gamma <= _GAMMA_TOL * hi.gamma:
+            break
+        c = (lo.gamma * f_hi - hi.gamma * f_lo) / (f_hi - f_lo)
+        if not lo.gamma < c < hi.gamma:
+            c = 0.5 * (lo.gamma + hi.gamma)
+        p = at(c)
+        if p.slope > 0.0:
+            lo, f_lo = p, p.slope
+            f_hi *= 0.5 if kept == 1 else 1.0
+            kept = 1
+        else:
+            hi, f_hi = p, p.slope
+            f_lo *= 0.5 if kept == -1 else 1.0
+            kept = -1
+    return lo if lo.gamma > 0.0 and lo.slope < -hi.slope else hi
 
 
-def _ascent_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton direction, with the Hessian shifted to negative definite."""
-    Hs = 0.5 * (H + H.T)
-    eigs = np.linalg.eigvalsh(Hs)
-    lam_max = eigs[-1]
-    scale = max(np.max(np.abs(eigs)), 1.0)
-    if lam_max > -1e-8 * scale:
-        Hs = Hs - (lam_max + 1e-6 * scale) * np.eye(H.shape[0])
-    step = -np.linalg.solve(Hs, grad)
-    cap = 25.0  # log-space steps beyond e^25 are never useful
-    big = np.max(np.abs(step))
-    if big > cap:
-        step *= cap / big
-    return step
+def _search(at):
+    """Best local maximum of the profiled objective over gamma >= 0.
 
-
-def _newton(obj: _Objective, u0: np.ndarray, floor_u: float):
-    """Maximize obj from u0 with clamped backtracking Newton steps.
-
-    Returns (u, value, omega, chol, iterations, hit_step_rule).
+    Returns (point, at_boundary).  The scan starts at gamma = 0 and FLOOR
+    and runs in decades; it goes on past 1e8 while the slope is positive.
     """
-    u = np.maximum(u0, floor_u)
-    val, omega, L = obj.value(u)
-    if omega is None:
-        raise SingularDelta("profiled objective undefined at the starting value")
-    for it in range(1, MAX_ITER + 1):
-        grad, hess = obj.grad_hess_u(u, omega, L)
-        pinned = (u <= floor_u + 1e-12) & (grad < 0.0)
-        g_free = np.where(pinned, 0.0, grad)
-        if np.linalg.norm(g_free) < GRAD_TOL:
-            return u, val, omega, L, it, True
-        step = _ascent_direction(hess, g_free)
-        step = np.where(pinned, 0.0, step)  # do not push further into the floor
-        slope = float(g_free @ step)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            u_try = np.maximum(u + t * step, floor_u)
-            val_try, omega_try, L_try = obj.value(u_try)
-            if val_try > -np.inf and (
-                val_try >= val + 1e-4 * t * slope or val_try > val
-            ):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            return u, val, omega, L, it, False  # stalled; caller decides
-        moved = float(np.max(np.abs(u_try - u)))
-        u, val, omega, L = u_try, val_try, omega_try, L_try
-        if moved < STEP_TOL:
-            return u, val, omega, L, it, True
-    raise NoConvergence(
-        f"variance-component iteration did not meet the stopping rule in "
-        f"{MAX_ITER} Newton steps"
-    )
+    pts = [at(x) for x in _SCAN]
+    for _ in range(40):
+        if pts[-1].slope <= 0.0:
+            break
+        pts.append(at(10.0 * pts[-1].gamma))
+    # gamma = 0 wins the KKT check when the slope there is <= 0; it is
+    # reported at gamma = FLOOR, the second scan point.
+    candidates = [(pts[1], True)] if pts[0].slope <= 0.0 else []
+    candidates += [(_root(at, a, b), False) for a, b in zip(pts, pts[1:])
+                   if a.slope > 0.0 >= b.slope]
+    if not candidates:   # slope still positive far past any sane gamma
+        candidates = [(pts[-1], False)]
+    return max(candidates, key=lambda c: c[0].value)
 
 
-# ---------------------------------------------------------------------------
-# moment-based start
-# ---------------------------------------------------------------------------
-
-def _moment_start(ds: ClusteredDataset, stats: SufficientStats,
-                  ps: ProfileSystem) -> np.ndarray:
-    """ANOVA-style starting values (sigma_alpha_sq0, sigma_e_sq0)."""
-    n, g = stats.n, stats.g
-    if ds.p_w:
-        try:
-            b2 = np.linalg.solve(stats.S_w_x, stats.S_w_xy)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateWithinDesign(
-                "pooled within-cluster covariate matrix S_w_x is singular"
-            ) from exc
-        q0 = float(stats.S_w_y - 2.0 * (stats.S_w_xy @ b2) + b2 @ stats.S_w_x @ b2)
-    else:
-        q0 = stats.S_w_y
-    se0 = max(q0, 0.0) / (n - g)
-    coef, *_ = np.linalg.lstsq(ps.Z, stats.ybar, rcond=None)
-    resid = stats.ybar - ps.Z @ coef
-    v_between = float(np.mean(resid * resid))
-    sa0 = max(v_between - se0 * float(np.mean(1.0 / stats.m)), 1e-4 * se0)
-    return np.array([sa0, se0])
+def _collapsed(ds: ClusteredDataset, stats: SufficientStats, ps: ProfileSystem,
+               beta2: np.ndarray, reml: bool) -> ParameterVector:
+    """Closed-form fit when the within residual vanishes: beta2 from the
+    within equations, (beta0, beta1) by OLS on the adjusted cluster means,
+    sigma_alpha_sq from their residuals and sigma_e_sq = FLOOR * that."""
+    Xb = ps.Z[:, :1 + ps.p_b]
+    target = stats.ybar - stats.xbar_w @ beta2
+    coef, *_ = np.linalg.lstsq(Xb, target, rcond=None)
+    resid = target - Xb @ coef
+    df_b = stats.g - (Xb.shape[1] if reml else 0)
+    sa = float(resid @ resid) / df_b if df_b > 0 else 0.0
+    # the means are interpolated too: both variances vanish
+    sa = max(sa, FLOOR * max(float(np.var(ds.y)), 1e-12))
+    return _omega_at(ps, np.concatenate((coef, beta2)), (sa, FLOOR * sa))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +301,11 @@ class FitResult:
     and the restricted objective for REML.  ``score_norm`` is the Euclidean
     norm of the full estimating function (psi for ML, psi_A for REML) at
     the reported parameters; ``converged`` asserts it is below
-    1e-8 * (1 + |loglik_at_opt|).  Boundary-clamped fits are reported with
-    ``boundary_flag`` set and usually ``converged`` False.
+    1e-8 * (1 + |loglik_at_opt|).  ``iterations`` counts the evaluations of
+    the profiled objective in gamma (0 when sigma_e_sq collapses).  A fit
+    with a vanished variance is reported with ``boundary_flag`` set, that
+    variance at FLOOR = 1e-8 times the other one, and usually ``converged``
+    False.
     """
 
     omega_hat: ParameterVector
@@ -385,60 +319,59 @@ class FitResult:
     n: int
 
 
-def _check_within_design(ds: ClusteredDataset, stats: SufficientStats) -> None:
+def _within_beta2(ds: ClusteredDataset, stats: SufficientStats) -> np.ndarray:
+    """Within-cluster estimator S_w_x^-1 S_w_xy; raises when S_w_x is
+    rank deficient."""
     if ds.p_w == 0:
-        return
+        return np.zeros(0)
     eigs = np.linalg.eigvalsh(0.5 * (stats.S_w_x + stats.S_w_x.T))
-    scale = max(float(eigs[-1]), 1.0)
-    if eigs[0] <= 1e-12 * scale:
+    if eigs[0] <= 1e-12 * max(float(eigs[-1]), 1.0):
         raise DegenerateWithinDesign(
             "a within-cluster covariate has no within-cluster variation "
             "(S_w_x is rank deficient)"
         )
+    return np.linalg.solve(stats.S_w_x, stats.S_w_xy)
 
 
 def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     validate_dataset(ds)
     stats = sufficient_stats(ds)
-    _check_within_design(ds, stats)
+    beta2 = _within_beta2(ds, stats)
     ps = build_profile_system(ds, stats)
-    obj = _Objective(ds, stats, ps, reml)
+    # SingularDelta here or never: collinearity does not depend on gamma
+    _cholesky((ps.Z.T * stats.m) @ ps.Z + ps.W)
 
-    var_y = float(np.var(ds.y))
-    floor_u = math.log(VARIANCE_FLOOR_FACTOR * max(var_y, 1e-12))
+    # Q_min is zero to rounding when it cancels against S_w_y, or when the
+    # within deviations themselves are at the rounding level of y
+    q_min = stats.S_w_y - float(stats.S_w_xy @ beta2)
+    evals = 0
+    if q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y):
+        omega, boundary = _collapsed(ds, stats, ps, beta2, reml), True
+    else:
+        def at(gamma):
+            nonlocal evals
+            evals += 1
+            return _profiled(ps, stats, gamma, reml)
 
-    theta0 = np.maximum(_moment_start(ds, stats, ps), math.exp(floor_u))
-    u0 = np.log(theta0)
+        best, boundary = _search(at)
+        se = best.sigma_e_sq
+        omega = _omega_at(ps, best.beta, (best.gamma * se, se))
 
-    u_best, val_best, om_best, L_best, iters, _ = _newton(obj, u0, floor_u)
-
-    # Coarse grid refinement: guard against a bad start or a second mode.
-    span = np.log(100.0)
-    axes = [np.clip(np.linspace(c - span, c + span, 11), floor_u, None)
-            for c in u0]
-    grid_best_val, grid_best_u = -np.inf, None
-    for ua in axes[0]:
-        for ue in axes[1]:
-            v, _, _ = obj.value(np.array([ua, ue]))
-            if v > grid_best_val:
-                grid_best_val, grid_best_u = v, np.array([ua, ue])
-    if grid_best_u is not None and grid_best_val > val_best:
-        u2, val2, om2, L2, it2, _ = _newton(obj, grid_best_u, floor_u)
-        if val2 > val_best:
-            u_best, val_best, om_best, L_best, iters = u2, val2, om2, L2, it2
-
-    boundary = bool(np.any(u_best <= floor_u + 1e-9))
-    estimating = adjusted_score(ds, stats, om_best) if reml \
-        else score(ds, stats, om_best)
+    val = log_likelihood(ds, stats, omega)
+    if reml:
+        val -= 0.5 * _profile(ps, stats, omega.theta)[3]
+        estimating = adjusted_score(ds, stats, omega)
+    else:
+        estimating = score(ds, stats, omega)
     sn = estimating.norm()
     return FitResult(
-        omega_hat=om_best,
+        omega_hat=omega,
         method="reml" if reml else "ml",
-        converged=bool(sn < 1e-8 * (1.0 + abs(val_best))),
-        iterations=iters,
+        converged=bool(sn < 1e-8 * (1.0 + abs(val))),
+        iterations=evals,
         score_norm=sn,
         boundary_flag=boundary,
-        loglik_at_opt=float(val_best),
+        loglik_at_opt=float(val),
         g=stats.g,
         n=stats.n,
     )
@@ -451,12 +384,12 @@ def fit_ml(ds: ClusteredDataset) -> FitResult:
         ds: clustered dataset; validated on entry.
 
     Returns:
-        FitResult with the ML parameter estimates.
+        FitResult with the ML parameter estimates; a vanished variance
+        comes back flagged, never as an error.
 
     Raises:
         SingularDelta: collinear intercept/covariate design.
         DegenerateWithinDesign: within design carries no information.
-        NoConvergence: iteration limit exhausted.
     """
     return _fit(ds, reml=False)
 

@@ -177,6 +177,54 @@ def dense_mvn_loglik(ds: ClusteredDataset, omega: ParameterVector) -> float:
 
 
 # ---------------------------------------------------------------------------
+# profiled objective oracle and a local-maximum check
+# ---------------------------------------------------------------------------
+
+
+def profiled_objective(ds: ClusteredDataset, theta, reml: bool) -> float:
+    """ML or REML objective at theta = (sigma_alpha_sq, sigma_e_sq), with
+    sigma_alpha_sq >= 0 allowed, and the coefficients at their GLS solution.
+
+    Uses the closed forms V_i^-1 = (I - c_i 11') / se with c_i = sa / (se +
+    m_i sa) and det V_i = se^(m_i - 1) (se + m_i sa) over the raw rows; the
+    Gaussian log-density up to a constant, minus (1/2) log det X'V^-1X for
+    REML.
+    """
+    sa, se = float(theta[0]), float(theta[1])
+    sizes = np.diff(ds.offsets)
+    cl = np.repeat(np.arange(ds.g), sizes)
+    X = np.column_stack([np.ones(ds.n), ds.x_b[cl], ds.x_w])
+    c = sa / (se + sizes * sa)
+
+    def v_inv(a):
+        sums = np.add.reduceat(a, ds.offsets[:-1], axis=0)
+        return (a - (c * sums.T).T[cl]) / se
+
+    A = X.T @ v_inv(X)
+    beta = np.linalg.solve(A, X.T @ v_inv(ds.y))
+    r = ds.y - X @ beta
+    logdet = float(np.sum((sizes - 1) * np.log(se) + np.log(se + sizes * sa)))
+    value = -0.5 * (logdet + float(r @ v_inv(r)))
+    if reml:
+        value -= 0.5 * np.linalg.slogdet(A)[1]
+    return value
+
+
+def best_feasible_gain(ds: ClusteredDataset, theta, reml: bool) -> float:
+    """Largest gain of :func:`profiled_objective` over nearby feasible
+    points: sigma_alpha_sq = 0, and steps of 1e-3, 1e-2 and 1e-1 up and
+    down in each log variance and up in sigma_alpha_sq / sigma_e_sq."""
+    sa, se = float(theta[0]), float(theta[1])
+    cands = [(0.0, se)]
+    for d in (1e-3, 1e-2, 1e-1):
+        up, down = np.exp(d), np.exp(-d)
+        cands += [(sa * up, se), (sa * down, se), (sa, se * up),
+                  (sa, se * down), (sa + d * se, se)]
+    f0 = profiled_objective(ds, theta, reml)
+    return max(profiled_objective(ds, c, reml) for c in cands) - f0
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

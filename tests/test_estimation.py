@@ -13,7 +13,6 @@ import pytest
 
 from nerm.errors import DegenerateWithinDesign, SingularDelta
 from nerm.estimation import (
-    _moment_start,
     adjusted_score,
     build_profile_system,
     fit_ml,
@@ -23,8 +22,21 @@ from nerm.estimation import (
 )
 from nerm.likelihood import log_likelihood, score
 from nerm.model import ParameterVector, sufficient_stats
+from nerm.simulation import (
+    RandomCovariates,
+    SimConfig,
+    generate_dataset,
+    parse_distribution,
+)
 
-from .helpers import close, fd_gradient, make_dataset, random_dataset
+from .helpers import (
+    best_feasible_gain,
+    close,
+    fd_gradient,
+    make_dataset,
+    profiled_objective,
+    random_dataset,
+)
 
 TWO_CLUSTER = make_dataset([[1.0, 2.0], [3.0, 4.0]])
 
@@ -113,14 +125,6 @@ def test_adjusted_score_is_gradient_of_restricted_objective():
 # ---------------------------------------------------------------------------
 # two-cluster closed forms
 # ---------------------------------------------------------------------------
-
-def test_moment_start_two_cluster_closed_form():
-    st = sufficient_stats(TWO_CLUSTER)
-    ps = build_profile_system(TWO_CLUSTER, st)
-    sa0, se0 = _moment_start(TWO_CLUSTER, st, ps)
-    assert se0 == pytest.approx(0.5)      # S_w_y / (n - g) = 1 / 2
-    assert sa0 == pytest.approx(0.75)     # var of means 1, minus 0.5 * (1/2)
-
 
 def test_ml_two_cluster_fixture():
     fit = fit_ml(TWO_CLUSTER)
@@ -238,12 +242,75 @@ def test_boundary_flag_when_cluster_means_coincide():
     assert fit.omega_hat.sigma_e_sq > 0.1
 
 
-def test_boundary_flag_when_no_within_variation():
-    # constant y inside each cluster -> the residual variance collapses
-    ds = make_dataset([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]])
-    fit = fit_ml(ds)
+def _assert_collapsed_within_variance(fit, sa):
     assert fit.boundary_flag
     assert fit.omega_hat.sigma_e_sq < 1e-6
+    assert fit.omega_hat.sigma_alpha_sq == pytest.approx(sa, abs=1e-6)
+
+
+def test_boundary_flag_when_no_within_variation():
+    # constant y inside each cluster -> the residual variance collapses;
+    # sigma_alpha_sq is the sum of squared deviations of the means 1, 2, 5
+    # (26/3) over g = 3 for ML and over g - 1 = 2 for REML
+    ds = make_dataset([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]])
+    _assert_collapsed_within_variance(fit_ml(ds), 26.0 / 9.0)
+
+
+def test_boundary_flag_when_no_within_variation_reml():
+    ds = make_dataset([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]])
+    _assert_collapsed_within_variance(fit_reml(ds), 13.0 / 3.0)
+
+
+def test_boundary_flag_when_within_variation_is_rounding():
+    # repeated decimals: the cluster mean of 0.1, 0.1, 0.1 is not 0.1 in
+    # binary, so the within deviations are rounding noise, not zero
+    ds = make_dataset([[0.1] * 3, [0.2] * 3, [0.7] * 3])
+    dev = np.array([0.1, 0.2, 0.7]) - 1.0 / 3.0
+    _assert_collapsed_within_variance(fit_ml(ds), float(dev @ dev) / 3.0)
+
+
+@pytest.mark.parametrize("fit", [fit_ml, fit_reml])
+def test_fit_rejects_collinear_design(fit):
+    # the between covariate duplicates the intercept
+    ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], x_b=[[1.0], [1.0]], p_b=1)
+    with pytest.raises(SingularDelta):
+        fit(ds)
+
+
+def _stress_config(g, m, sa, alpha_dist, e_dist):
+    """`nerm simulate` defaults (p_b = p_w = 1) at sigma_e_sq = 1, seed 3."""
+    return SimConfig(
+        g=g, cluster_sizes=m,
+        true_omega=ParameterVector(0.0, [0.5], sa, [0.5], 1.0),
+        alpha_dist=parse_distribution(alpha_dist),
+        e_dist=parse_distribution(e_dist),
+        covariate_model=RandomCovariates(
+            mu_b=[0.5], Sigma_b=np.eye(1), mu_w=[0.0],
+            Upsilon_w=0.25 * np.eye(1), Sigma_w=np.eye(1)),
+        seed=3, replications=150)
+
+
+@pytest.mark.parametrize("g, m, sa, alpha_dist, e_dist", [
+    (10, 3, 0.05, "normal", "normal"),
+    (20, 2, 0.01, "lognormal(1)", "t(5)"),
+    (8, 5, 1e-4, "normal", "normal"),
+])
+def test_small_g_fits_never_raise_and_reach_a_local_maximum(
+        g, m, sa, alpha_dist, e_dist):
+    # many of these fits have their ML/REML sigma_alpha_sq at zero
+    cfg = _stress_config(g, m, sa, alpha_dist, e_dist)
+    flagged = 0
+    for k in range(cfg.replications):
+        ds = generate_dataset(cfg, k)
+        for reml in (False, True):
+            fit = (fit_reml if reml else fit_ml)(ds)
+            theta = fit.omega_hat.theta
+            f0 = profiled_objective(ds, theta, reml)
+            # 1e-6 leaves room for reporting zero as FLOOR * sigma_e_sq
+            assert best_feasible_gain(ds, theta, reml) <= 1e-6 * (1.0 + abs(f0))
+            assert fit.boundary_flag or fit.converged
+            flagged += fit.boundary_flag
+    assert flagged > 0
 
 
 def test_rejects_within_covariate_without_variation():
