@@ -44,9 +44,7 @@ from .likelihood import (
 )
 from .estimation import (
     FitResult,
-    ProfileSystem,
     adjusted_score,
-    build_profile_system,
     fit_ml,
     fit_reml,
     profile_beta,

@@ -33,6 +33,7 @@ to zero width at the point estimate and is flagged instead.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,9 @@ from .errors import (
     NonFiniteValue,
     NotPositiveDefinite,
 )
-from .estimation import FitResult, build_profile_system
-from .model import ClusteredDataset, SufficientStats, tau
+from .estimation import FitResult
+from .likelihood import expected_score_jacobian
+from .model import ClusteredDataset, ParameterVector, SufficientStats
 
 __all__ = [
     "NormalizationK",
@@ -68,20 +70,8 @@ __all__ = [
 # standard normal quantile
 # ---------------------------------------------------------------------------
 
-# Rational approximation (relative error ~1e-9) refined by one Halley step
-# through erfc, which brings it to machine precision.
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to well below 1e-9.
+    """Inverse standard normal CDF (stdlib ``statistics.NormalDist``).
 
     Args:
         p: probability strictly inside (0, 1).
@@ -92,25 +82,7 @@ def normal_quantile(p: float) -> float:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise InvalidConfig(f"quantile level must lie in (0, 1), got {p!r}")
-    a, b, c, d = _QA, _QB, _QC, _QD
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley step:  e = Phi(x) - p,  u = e / phi(x).
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return statistics.NormalDist().inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +324,14 @@ def matrix_Bn(ds: ClusteredDataset, stats: SufficientStats,
     """Finite-sample analogue of B for the design at hand.
 
     Equals -K^(-1/2) E psi'(omega_dot) K^(-1/2) and converges to
-    :func:`matrix_B` as g and the smallest cluster grow.
+    :func:`matrix_B` as g and the smallest cluster grow.  The coefficients
+    of omega_dot cancel in E psi' at omega = omega_dot, so zeros stand in.
     """
-    sa, se = float(theta_dot[0]), float(theta_dot[1])
-    m = stats.m.astype(float)
-    t = tau((sa, se), m)
-    g, n = float(stats.g), float(stats.n)
-    Xb, Xw = ds.x_b, stats.xbar_w
-    p_b, p_w = ds.p_b, ds.p_w
-    dim, i0, i1, ia, i2, ie = _indices(p_b, p_w)
-    root_gn = math.sqrt(g * n)
-    B = np.zeros((dim, dim))
-    B[i0, i0] = np.sum(t) / g
-    B[i0, i1] = (t @ Xb) / g
-    B[i1, i0] = (Xb.T @ t) / g
-    B[i1, i1] = (Xb.T * t) @ Xb / g
-    B[ia, ia] = np.sum(t * t) / (2.0 * g)
-    B[i0, i2] = (t @ Xw) / root_gn
-    B[i2, i0] = (Xw.T @ t) / root_gn
-    B[i1, i2] = (Xb.T * t) @ Xw / root_gn
-    B[i2, i1] = ((Xb.T * t) @ Xw).T / root_gn
-    B[ia, ie] = B[ie, ia] = np.sum(t * t / m) / (2.0 * root_gn)
-    if p_w:
-        B[i2, i2] = stats.S_w_x / (n * se) + (Xw.T * t) @ Xw / n
-    B[ie, ie] = np.sum(t * t / (m * m)) / (2.0 * n) \
-        + (n - g) / (2.0 * n * se * se)
-    return B
+    omega_dot = ParameterVector(0.0, np.zeros(ds.p_b), theta_dot[0],
+                                np.zeros(ds.p_w), theta_dot[1])
+    J = expected_score_jacobian(ds, stats, omega_dot, omega_dot).matrix
+    k = NormalizationK.from_counts(stats.g, stats.n, ds.p_b, ds.p_w).sqrt
+    return -J / np.outer(k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +376,7 @@ def estimate_moments(ds: ClusteredDataset, stats: SufficientStats,
     averaged over all n observations.
     """
     om = fit.omega_hat
-    ps = build_profile_system(ds, stats)
-    rb = stats.ybar - ps.Z @ om.beta
+    rb = stats.ybar - stats.Z @ om.beta
     mu3_a = float(np.mean(rb**3))
     mu4_a = float(np.mean(rb**4))
     dy = (ds.y - np.repeat(stats.ybar, stats.m)) \

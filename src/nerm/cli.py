@@ -39,7 +39,7 @@ from .asymptotics import (
 )
 from .errors import InvalidConfig, NermError, ParseError
 from .estimation import FitResult, fit_ml, fit_reml
-from .likelihood import log_likelihood, score, score_jacobian
+from .likelihood import log_likelihood, score
 from .model import (
     Cluster,
     ClusteredDataset,

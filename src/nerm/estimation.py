@@ -35,7 +35,9 @@ The other way to leave the interior, sigma_e_sq -> 0, happens only when the
 pooled within residual Q_min is zero to rounding; that is decided before
 the search and answered in closed form, again with ``boundary_flag``.
 Collinearity of the design does not depend on gamma, so ``SingularDelta``
-is also decided once, up front.
+is decided once, at gamma = 0, the first point of the scan.  Z, S_w_xy and
+S_w_x come from the dataset's shared ``SufficientStats``; ``_solve`` alone
+forms and factors M(gamma), for the search and at any given theta.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ from .model import (
 )
 
 __all__ = [
-    "ProfileSystem",
     "FitResult",
-    "build_profile_system",
     "profile_beta",
     "reml_criterion",
     "adjusted_score",
@@ -73,41 +73,8 @@ _GAMMA_TOL = 1e-12   # relative width of a solved bracket
 
 
 # ---------------------------------------------------------------------------
-# profiling machinery
+# the profiled normal equations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProfileSystem:
-    """Design pieces for the profiled normal equations."""
-
-    Z: np.ndarray        # (g, 1 + p_b + p_w) rows z_i
-    w: np.ndarray        # (1 + p_b + p_w,) = (0, 0, S_w_xy)
-    W: np.ndarray        # block diag(0, 0, S_w_x)
-    p_b: int
-    p_w: int
-
-    def __post_init__(self) -> None:
-        for name in ("Z", "w", "W"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-
-def build_profile_system(ds: ClusteredDataset, stats: SufficientStats) -> ProfileSystem:
-    """Assemble z_i rows and the within-information blocks once per dataset."""
-    g, p_b, p_w = stats.g, ds.p_b, ds.p_w
-    q = 1 + p_b + p_w
-    Z = np.empty((g, q))
-    Z[:, 0] = 1.0
-    Z[:, 1:1 + p_b] = ds.x_b
-    Z[:, 1 + p_b:] = stats.xbar_w
-    w = np.zeros(q)
-    W = np.zeros((q, q))
-    if p_w:
-        w[1 + p_b:] = stats.S_w_xy
-        W[1 + p_b:, 1 + p_b:] = stats.S_w_x
-    return ProfileSystem(Z=Z, w=w, W=W, p_b=p_b, p_w=p_w)
-
 
 def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
@@ -123,23 +90,34 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _profile(ps: ProfileSystem, stats: SufficientStats, theta):
-    """Solve the normal equations; returns (beta_hat, Delta, chol, logdet)."""
-    t = tau(theta, stats.m)
+def _solve(stats: SufficientStats, gamma: float):
+    """The one place that forms and factors M(gamma) and solves the normal
+    equations; returns (w, L, beta) with M = L L'."""
+    m = stats.m.astype(float)
+    w = m / (1.0 + m * gamma)
+    Z, k = stats.Z, 1 + stats.p_b
+    M = (Z.T * w) @ Z
+    M[k:, k:] += stats.S_w_x
+    rhs = Z.T @ (w * stats.ybar)
+    rhs[k:] += stats.S_w_xy
+    L = _cholesky(M)
+    return w, L, _chol_solve(L, rhs)
+
+
+def _at_theta(stats: SufficientStats, theta):
+    """:func:`_solve` at gamma = sigma_alpha_sq / sigma_e_sq; returns beta,
+    L and log det Delta, where Delta = M / sigma_e_sq = L L' / sigma_e_sq."""
+    tau(theta, 1.0)   # NonPositiveVariance unless both are finite and > 0
     se = float(theta[1])
-    Delta = (ps.Z.T * t) @ ps.Z + ps.W / se
-    L = _cholesky(Delta)
-    beta = _chol_solve(L, ps.Z.T @ (t * stats.ybar) + ps.w / se)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return beta, Delta, L, logdet
+    _, L, beta = _solve(stats, float(theta[0]) / se)
+    return beta, L, 2.0 * float(np.sum(np.log(np.diag(L)))) - L.shape[0] * np.log(se)
 
 
-def profile_beta(ps: ProfileSystem, stats: SufficientStats, theta):
+def profile_beta(stats: SufficientStats, theta):
     """Closed-form coefficient profile at fixed variance components.
 
     Args:
-        ps: output of :func:`build_profile_system`.
-        stats: sufficient statistics of the same dataset.
+        stats: sufficient statistics of the dataset.
         theta: (sigma_alpha_sq, sigma_e_sq), both > 0.
 
     Returns:
@@ -147,28 +125,22 @@ def profile_beta(ps: ProfileSystem, stats: SufficientStats, theta):
         (beta0, beta1, beta2) and the normal-equation matrix.
 
     Raises:
+        NonPositiveVariance: a variance is not finite and > 0.
         SingularDelta: collinear design.
     """
-    beta, Delta, _, _ = _profile(ps, stats, theta)
-    return beta, Delta
+    beta, L, _ = _at_theta(stats, theta)
+    return beta, (L @ L.T) / float(theta[1])
 
 
-def _omega_at(ps: ProfileSystem, beta: np.ndarray, theta) -> ParameterVector:
-    p_b, p_w = ps.p_b, ps.p_w
-    return ParameterVector(
-        beta0=beta[0],
-        beta1=beta[1:1 + p_b],
-        sigma_alpha_sq=theta[0],
-        beta2=beta[1 + p_b:1 + p_b + p_w],
-        sigma_e_sq=theta[1],
-    )
+def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVector:
+    k = 1 + stats.p_b
+    return ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
 
 
 def reml_criterion(ds: ClusteredDataset, stats: SufficientStats, theta) -> float:
     """Restricted likelihood objective l(beta_hat(theta), theta) - (1/2) log|Delta|."""
-    ps = build_profile_system(ds, stats)
-    beta, _, _, logdet = _profile(ps, stats, theta)
-    return log_likelihood(ds, stats, _omega_at(ps, beta, theta)) - 0.5 * logdet
+    beta, _, logdet = _at_theta(stats, theta)
+    return log_likelihood(ds, stats, _omega_at(stats, beta, theta)) - 0.5 * logdet
 
 
 def adjusted_score(ds: ClusteredDataset, stats: SufficientStats,
@@ -178,23 +150,27 @@ def adjusted_score(ds: ClusteredDataset, stats: SufficientStats,
     The coefficient entries coincide with the plain score; the variance
     entries subtract (1/2) tr{Delta^-1 dDelta/dtheta_k}, with
     dDelta/dsigma_alpha_sq = -Z' diag(tau^2) Z and dDelta/dsigma_e_sq =
-    -Z' diag(tau^2/m) Z - W/sigma_e_sq^2.  Its root is the REML estimator,
-    and its variance entries evaluated at the profiled coefficients are the
-    gradient of :func:`reml_criterion`.
+    -Z' diag(tau^2/m) Z - W/sigma_e_sq^2 (W holds S_w_x in the within
+    corner).  Its root is the REML estimator, and its variance entries
+    evaluated at the profiled coefficients are the gradient of
+    :func:`reml_criterion`.
     """
-    ps = build_profile_system(ds, stats)
-    _, _, L, _ = _profile(ps, stats, omega.theta)
+    se = omega.sigma_e_sq
+    _, L, _ = _at_theta(stats, omega.theta)
+    Z, k = stats.Z, 1 + stats.p_b
     t = tau(omega.theta, stats.m)
     t2 = t * t
-    dA = -(ps.Z.T * t2) @ ps.Z
-    dE = -(ps.Z.T * (t2 / stats.m)) @ ps.Z - ps.W / omega.sigma_e_sq**2
+    dA = -(Z.T * t2) @ Z
+    dE = -(Z.T * (t2 / stats.m)) @ Z
+    dE[k:, k:] -= stats.S_w_x / se**2
     sc = score(ds, stats, omega)
     return ScoreVector(
         l_beta0=sc.l_beta0,
         l_beta1=sc.l_beta1,
-        l_sigma_alpha_sq=sc.l_sigma_alpha_sq - 0.5 * float(np.trace(_chol_solve(L, dA))),
+        l_sigma_alpha_sq=sc.l_sigma_alpha_sq
+        - 0.5 * se * float(np.trace(_chol_solve(L, dA))),
         l_beta2=sc.l_beta2,
-        l_sigma_e_sq=sc.l_sigma_e_sq - 0.5 * float(np.trace(_chol_solve(L, dE))),
+        l_sigma_e_sq=sc.l_sigma_e_sq - 0.5 * se * float(np.trace(_chol_solve(L, dE))),
     )
 
 
@@ -210,23 +186,20 @@ class _Point(NamedTuple):
     sigma_e_sq: float
 
 
-def _profiled(ps: ProfileSystem, stats: SufficientStats, gamma: float,
-              reml: bool) -> _Point:
+def _profiled(stats: SufficientStats, gamma: float, reml: bool) -> _Point:
     """Coefficients, sigma_e_sq, objective and slope at one gamma >= 0."""
-    m = stats.m.astype(float)
-    w = m / (1.0 + m * gamma)
-    L = _cholesky((ps.Z.T * w) @ ps.Z + ps.W)
-    beta = _chol_solve(L, ps.Z.T @ (w * stats.ybar) + ps.w)
-    r = stats.ybar - ps.Z @ beta
-    b2 = beta[1 + ps.p_b:]
+    w, L, beta = _solve(stats, gamma)
+    Z = stats.Z
+    r = stats.ybar - Z @ beta
+    b2 = beta[1 + stats.p_b:]
     rss = float(stats.S_w_y - 2.0 * (stats.S_w_xy @ b2) + b2 @ stats.S_w_x @ b2
                 + np.sum(w * r * r))
-    df = stats.n - (ps.Z.shape[1] if reml else 0)
+    df = stats.n - (Z.shape[1] if reml else 0)
     value = 0.5 * float(np.sum(np.log(w))) - 0.5 * df * np.log(rss / df)
     slope = -0.5 * float(np.sum(w)) + 0.5 * df * float(np.sum((w * r) ** 2)) / rss
     if reml:
         value -= float(np.sum(np.log(np.diag(L))))
-        slope += 0.5 * float(np.trace(_chol_solve(L, (ps.Z.T * (w * w)) @ ps.Z)))
+        slope += 0.5 * float(np.trace(_chol_solve(L, (Z.T * (w * w)) @ Z)))
     return _Point(gamma, value, slope, beta, rss / df)
 
 
@@ -273,12 +246,12 @@ def _search(at):
     return max(candidates, key=lambda c: c[0].value)
 
 
-def _collapsed(ds: ClusteredDataset, stats: SufficientStats, ps: ProfileSystem,
+def _collapsed(ds: ClusteredDataset, stats: SufficientStats,
                beta2: np.ndarray, reml: bool) -> ParameterVector:
     """Closed-form fit when the within residual vanishes: beta2 from the
     within equations, (beta0, beta1) by OLS on the adjusted cluster means,
     sigma_alpha_sq from their residuals and sigma_e_sq = FLOOR * that."""
-    Xb = ps.Z[:, :1 + ps.p_b]
+    Xb = stats.Z[:, :1 + stats.p_b]
     target = stats.ybar - stats.xbar_w @ beta2
     coef, *_ = np.linalg.lstsq(Xb, target, rcond=None)
     resid = target - Xb @ coef
@@ -286,7 +259,7 @@ def _collapsed(ds: ClusteredDataset, stats: SufficientStats, ps: ProfileSystem,
     sa = float(resid @ resid) / df_b if df_b > 0 else 0.0
     # the means are interpolated too: both variances vanish
     sa = max(sa, FLOOR * max(float(np.var(ds.y)), 1e-12))
-    return _omega_at(ps, np.concatenate((coef, beta2)), (sa, FLOOR * sa))
+    return _omega_at(stats, np.concatenate((coef, beta2)), (sa, FLOOR * sa))
 
 
 # ---------------------------------------------------------------------------
@@ -337,29 +310,27 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     validate_dataset(ds)
     stats = sufficient_stats(ds)
     beta2 = _within_beta2(ds, stats)
-    ps = build_profile_system(ds, stats)
-    # SingularDelta here or never: collinearity does not depend on gamma
-    _cholesky((ps.Z.T * stats.m) @ ps.Z + ps.W)
-
     # Q_min is zero to rounding when it cancels against S_w_y, or when the
     # within deviations themselves are at the rounding level of y
     q_min = stats.S_w_y - float(stats.S_w_xy @ beta2)
     evals = 0
     if q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y):
-        omega, boundary = _collapsed(ds, stats, ps, beta2, reml), True
+        # the search decides SingularDelta at gamma = 0; so does this branch
+        _solve(stats, 0.0)
+        omega, boundary = _collapsed(ds, stats, beta2, reml), True
     else:
         def at(gamma):
             nonlocal evals
             evals += 1
-            return _profiled(ps, stats, gamma, reml)
+            return _profiled(stats, gamma, reml)
 
         best, boundary = _search(at)
         se = best.sigma_e_sq
-        omega = _omega_at(ps, best.beta, (best.gamma * se, se))
+        omega = _omega_at(stats, best.beta, (best.gamma * se, se))
 
     val = log_likelihood(ds, stats, omega)
     if reml:
-        val -= 0.5 * _profile(ps, stats, omega.theta)[3]
+        val -= 0.5 * _at_theta(stats, omega.theta)[2]
         estimating = adjusted_score(ds, stats, omega)
     else:
         estimating = score(ds, stats, omega)

@@ -11,11 +11,12 @@ covariates x_b_i are constant inside a cluster; within-cluster covariates
 x_w_ij vary inside it.
 
 Everything downstream (likelihood, estimation, asymptotics) consumes the
-per-cluster sufficient statistics computed here: cluster means of y and of
-the within covariates, plus the pooled within-cluster cross products
-S_w_y, S_w_xy, S_w_x.  A dataset is stored once, as flat arrays with
-cluster offsets, and every per-cluster reduction here is a whole-array
-numpy operation over them.  The precision weight of a cluster mean is
+per-cluster sufficient statistics computed here, once per dataset: cluster
+means of y and of the within covariates, the between design z_i = (1,
+x_b_i, xbar_w_i) and the pooled within-cluster cross products S_w_y,
+S_w_xy, S_w_x.  A dataset is stored once, as flat arrays with cluster
+offsets, and every per-cluster reduction here is a whole-array numpy
+operation over them.  The precision weight of a cluster mean is
 
     tau_i = m_i / (sigma_e_sq + m_i * sigma_alpha_sq),
 
@@ -24,7 +25,7 @@ the reciprocal of Var(alpha_i + mean of e_ij).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -134,9 +135,6 @@ class ParameterVector:
             beta2=flat[2 + p_b:2 + p_b + p_w],
             sigma_e_sq=flat[-1],
         )
-
-    def with_theta(self, sigma_alpha_sq: float, sigma_e_sq: float) -> "ParameterVector":
-        return replace(self, sigma_alpha_sq=sigma_alpha_sq, sigma_e_sq=sigma_e_sq)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterVector):
@@ -250,6 +248,21 @@ class ClusteredDataset:
         return out
 
     @cached_property
+    def _stats(self) -> SufficientStats:
+        """See :func:`sufficient_stats`."""
+        m = self.cluster_sizes
+        ybar = _cluster_means(self, self.y)
+        xbar_w = _cluster_means(self, self.x_w)
+        dy = self.y - np.repeat(ybar, m)
+        dx = self.x_w - np.repeat(xbar_w, m, axis=0)
+        return SufficientStats(
+            m=m, ybar=ybar, xbar_w=xbar_w,
+            Z=np.hstack([np.ones((self.g, 1)), self.x_b, xbar_w]),
+            S_w_y=float(dy @ dy), S_w_xy=dx.T @ dy, S_w_x=dx.T @ dx,
+            n=self.n, g=self.g,
+        )
+
+    @cached_property
     def clusters(self) -> tuple[Cluster, ...]:
         """Per-cluster copies, built on demand for inspection, tests and the
         dense cross checks of ``nerm verify``."""
@@ -333,10 +346,12 @@ def center_within_covariates(
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-cluster means plus pooled within-cluster cross products.
+    """Per-cluster means, the between design and the pooled within-cluster
+    cross products.
 
     These are all the likelihood ever touches:
 
+        Z      = rows z_i = (1, x_b_i, xbar_w_i)
         S_w_y  = sum_ij (y_ij - ybar_i)^2
         S_w_xy = sum_ij (x_w_ij - xbar_w_i) (y_ij - ybar_i)
         S_w_x  = sum_ij (x_w_ij - xbar_w_i) (x_w_ij - xbar_w_i)'
@@ -345,6 +360,7 @@ class SufficientStats:
     m: np.ndarray          # (g,) cluster sizes
     ybar: np.ndarray       # (g,) response cluster means
     xbar_w: np.ndarray     # (g, p_w) within-covariate cluster means
+    Z: np.ndarray          # (g, 1 + p_b + p_w) between design
     S_w_y: float
     S_w_xy: np.ndarray     # (p_w,)
     S_w_x: np.ndarray      # (p_w, p_w)
@@ -352,32 +368,29 @@ class SufficientStats:
     g: int
 
     def __post_init__(self) -> None:
-        for name in ("m", "ybar", "xbar_w", "S_w_xy", "S_w_x"):
+        for name in ("m", "ybar", "xbar_w", "Z", "S_w_xy", "S_w_x"):
             object.__setattr__(self, name, _readonly(getattr(self, name),
                                                      int if name == "m" else float))
         object.__setattr__(self, "S_w_y", float(self.S_w_y))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "g", int(self.g))
 
+    @property
+    def p_b(self) -> int:
+        return self.Z.shape[1] - 1 - self.xbar_w.shape[1]
+
 
 def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:
     """Reduce a dataset to the statistics the likelihood depends on.
 
-    Uses a two-pass scheme (means first, then deviations) for numerical
-    stability; each cluster contributes independently, so the pooled
-    cross products do not depend on cluster ordering.  Needs nonempty
-    clusters (see :func:`validate_dataset`).
+    Computed once per dataset, on first use, and cached on it: every call
+    on the same dataset returns the same object.  Uses a two-pass scheme
+    (means first, then deviations) for numerical stability; each cluster
+    contributes independently, so the pooled cross products do not depend
+    on cluster ordering.  Needs nonempty clusters (see
+    :func:`validate_dataset`).
     """
-    m = ds.cluster_sizes
-    ybar = _cluster_means(ds, ds.y)
-    xbar_w = _cluster_means(ds, ds.x_w)
-    dy = ds.y - np.repeat(ybar, m)
-    dx = ds.x_w - np.repeat(xbar_w, m, axis=0)
-    return SufficientStats(
-        m=m, ybar=ybar, xbar_w=xbar_w,
-        S_w_y=float(dy @ dy), S_w_xy=dx.T @ dy, S_w_x=dx.T @ dx,
-        n=ds.n, g=ds.g,
-    )
+    return ds._stats
 
 
 def tau(theta: tuple[float, float], m_i) -> np.ndarray | float:

@@ -508,8 +508,10 @@ class MonteCarloSummary:
     Coverage, the empirical covariance of the normalized errors and the
     ML/REML gap statistics are computed over replicates that finished and
     stayed off the variance floor; boundary and failed replicates are
-    counted separately.  ``ebar_moments`` holds the cluster-mean error
-    diagnostics keyed by cluster size.
+    counted separately; a statistic with too few such replicates (none, or
+    one for the covariance and the cross-block correlation) is NaN.
+    ``ebar_moments`` holds the cluster-mean error diagnostics keyed by
+    cluster size.
     """
 
     parameter_names: list
@@ -593,14 +595,18 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
     dim = len(names)
 
     if included:
-        errs = np.vstack([r.normalized_error for r in included])
-        emp_cov = np.cov(errs, rowvar=False, ddof=1).reshape(dim, dim)
         coverage = {
             name: float(np.mean([r.ci_hits[name] for r in included]))
             for name in names
         }
         gaps = np.array([r.ml_reml_gap for r in included])
         gap_mean, gap_median = float(gaps.mean()), float(np.median(gaps))
+    else:
+        coverage = {name: float("nan") for name in names}
+        gap_mean = gap_median = float("nan")
+    if len(included) >= 2:
+        errs = np.vstack([r.normalized_error for r in included])
+        emp_cov = np.cov(errs, rowvar=False, ddof=1).reshape(dim, dim)
         sd = np.sqrt(np.diag(emp_cov))
         denom = np.outer(sd, sd)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -608,10 +614,8 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
         nb = p_b + 2
         cross = corr[:nb, nb:]
         cross_max = float(np.max(np.abs(cross))) if cross.size else 0.0
-    else:
+    else:   # a covariance needs two replicates
         emp_cov = np.full((dim, dim), np.nan)
-        coverage = {name: float("nan") for name in names}
-        gap_mean = gap_median = float("nan")
         cross_max = float("nan")
 
     return MonteCarloSummary(

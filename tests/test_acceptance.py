@@ -28,7 +28,7 @@ from nerm.asymptotics import (
     matrix_Bn,
     matrix_C,
 )
-from nerm.estimation import fit_ml, fit_reml, profile_beta, build_profile_system, reml_criterion
+from nerm.estimation import fit_ml, fit_reml, profile_beta, reml_criterion
 from nerm.likelihood import expected_score_jacobian, log_likelihood, score, score_jacobian
 from nerm.model import ParameterVector, sufficient_stats
 from nerm.simulation import (
@@ -173,7 +173,6 @@ def test_criterion_03_closed_form_fixture(capsys):
     """y = {(1,2),(3,4)}: ML (2.5, 0.75, 0.5), REML (2.5, 1.75, 0.5)."""
     ds = make_dataset([[1.0, 2.0], [3.0, 4.0]])
     stats = sufficient_stats(ds)
-    ps = build_profile_system(ds, stats)
 
     ml = fit_ml(ds)
     reml = fit_reml(ds)
@@ -181,7 +180,7 @@ def test_criterion_03_closed_form_fixture(capsys):
     reml_err = float(np.max(np.abs(reml.omega_hat.flatten() - [2.5, 1.75, 0.5])))
 
     def ml_objective(theta):
-        beta, _ = profile_beta(ps, stats, theta)
+        beta, _ = profile_beta(stats, theta)
         omega = ParameterVector(beta[0], np.zeros(0), theta[0], np.zeros(0), theta[1])
         return log_likelihood(ds, stats, omega)
 

@@ -17,7 +17,7 @@ from nerm.cli import (
     write_dataset_csv,
 )
 from nerm.errors import InvalidConfig, ParseError
-from nerm.model import Cluster, ClusteredDataset
+from nerm.model import Cluster, ClusteredDataset, SufficientStats
 
 from .helpers import make_dataset, random_dataset
 
@@ -236,6 +236,21 @@ def test_ci_reports_intervals(tmp_path, capsys):
     for iv in intervals:
         assert iv["lower"] <= iv["estimate"] <= iv["upper"]
         assert iv["level"] == 0.9
+
+
+def test_ci_both_computes_the_statistics_once(tmp_path, monkeypatch, capsys):
+    computed = []
+    post_init = SufficientStats.__post_init__
+
+    def counting(self):
+        computed.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SufficientStats, "__post_init__", counting)
+    path = _write(tmp_path, GOOD_CSV)
+    assert main(["ci", "--input", path, "--method", "both"]) in (EXIT_OK, EXIT_FLAGGED)
+    assert set(json.loads(capsys.readouterr().out)["results"]) == {"ml", "reml"}
+    assert len(computed) == 1
 
 
 def test_ci_center_and_contextual(tmp_path, capsys):

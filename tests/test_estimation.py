@@ -14,7 +14,6 @@ import pytest
 from nerm.errors import DegenerateWithinDesign, SingularDelta
 from nerm.estimation import (
     adjusted_score,
-    build_profile_system,
     fit_ml,
     fit_reml,
     profile_beta,
@@ -69,9 +68,8 @@ def test_profile_beta_matches_dense_gls():
                                p_b=int(rng.integers(0, 3)),
                                p_w=int(rng.integers(0, 3)), m_min=2)
         st = sufficient_stats(ds)
-        ps = build_profile_system(ds, st)
         theta = (rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
-        beta, _ = profile_beta(ps, st, theta)
+        beta, _ = profile_beta(st, theta)
         assert np.allclose(beta, _dense_gls_beta(ds, theta), rtol=1e-9, atol=1e-9)
 
 
@@ -79,9 +77,8 @@ def test_profile_beta_zeroes_the_coefficient_score():
     rng = np.random.default_rng(32)
     ds, _ = random_dataset(rng, g=6, m_max=5, p_b=2, p_w=1, m_min=2)
     st = sufficient_stats(ds)
-    ps = build_profile_system(ds, st)
     theta = (0.8, 1.4)
-    beta, _ = profile_beta(ps, st, theta)
+    beta, _ = profile_beta(st, theta)
     om = ParameterVector(beta[0], beta[1:3], theta[0], beta[3:], theta[1])
     s = score(ds, st, om)
     assert abs(s.l_beta0) < 1e-9
@@ -93,9 +90,8 @@ def test_profile_rejects_collinear_design():
     # duplicate the intercept as a between covariate
     ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], x_b=[[1.0], [1.0]], p_b=1)
     st = sufficient_stats(ds)
-    ps = build_profile_system(ds, st)
     with pytest.raises(SingularDelta):
-        profile_beta(ps, st, (1.0, 1.0))
+        profile_beta(st, (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +104,8 @@ def test_adjusted_score_is_gradient_of_restricted_objective():
         ds, _ = random_dataset(rng, g=int(rng.integers(3, 8)), m_max=6,
                                p_b=1, p_w=1, m_min=2)
         st = sufficient_stats(ds)
-        ps = build_profile_system(ds, st)
         theta = np.array([rng.uniform(0.4, 1.8), rng.uniform(0.4, 1.8)])
-        beta, _ = profile_beta(ps, st, theta)
+        beta, _ = profile_beta(st, theta)
         om = ParameterVector(beta[0], beta[1:2], theta[0], beta[2:], theta[1])
         adj = adjusted_score(ds, st, om)
         fd = fd_gradient(lambda th: reml_criterion(ds, st, th), theta)
@@ -155,14 +150,13 @@ def test_fit_beats_a_dense_grid(reml):
     rng = np.random.default_rng(34)
     ds, _ = random_dataset(rng, g=5, m_max=6, p_b=1, p_w=1, m_min=2)
     st = sufficient_stats(ds)
-    ps = build_profile_system(ds, st)
     fit = (fit_reml if reml else fit_ml)(ds)
     th_hat = np.asarray(fit.omega_hat.theta)
 
     def objective(theta):
         if reml:
             return reml_criterion(ds, st, theta)
-        beta, _ = profile_beta(ps, st, theta)
+        beta, _ = profile_beta(st, theta)
         om = ParameterVector(beta[0], beta[1:2], theta[0], beta[2:], theta[1])
         return log_likelihood(ds, st, om)
 
@@ -186,8 +180,7 @@ def test_fit_is_a_local_maximum_under_perturbation(reml):
     def objective(theta):
         if reml:
             return reml_criterion(ds, st, theta)
-        ps = build_profile_system(ds, st)
-        beta, _ = profile_beta(ps, st, theta)
+        beta, _ = profile_beta(st, theta)
         om = ParameterVector(beta[0], beta[1:2], theta[0], beta[2:], theta[1])
         return log_likelihood(ds, st, om)
 

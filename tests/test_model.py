@@ -191,6 +191,18 @@ def test_sufficient_stats_permutation_invariant():
     assert np.allclose(np.sort(a.ybar), np.sort(b.ybar))
 
 
+def test_sufficient_stats_are_computed_once_and_carry_the_design():
+    rng = np.random.default_rng(8)
+    ds, _ = random_dataset(rng, g=6, m_max=5, p_b=2, p_w=1)
+    st_ = sufficient_stats(ds)
+    assert sufficient_stats(ds) is st_
+    assert st_.p_b == 2
+    assert np.array_equal(st_.Z[:, 0], np.ones(ds.g))
+    assert np.array_equal(st_.Z[:, 1:3], ds.x_b)
+    assert np.array_equal(st_.Z[:, 3:], st_.xbar_w)
+    assert not st_.Z.flags.writeable
+
+
 def test_s_w_x_positive_semidefinite():
     rng = np.random.default_rng(7)
     ds, _ = random_dataset(rng, g=8, m_max=6, p_b=0, p_w=3)
