@@ -330,7 +330,8 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
 
     val = log_likelihood(ds, stats, omega)
     if reml:
-        val -= 0.5 * _at_theta(stats, omega.theta)[2]
+        _, _, logdet = _at_theta(stats, omega.theta)
+        val -= 0.5 * logdet
         estimating = adjusted_score(ds, stats, omega)
     else:
         estimating = score(ds, stats, omega)

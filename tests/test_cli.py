@@ -17,7 +17,8 @@ from nerm.cli import (
     write_dataset_csv,
 )
 from nerm.errors import InvalidConfig, ParseError
-from nerm.model import Cluster, ClusteredDataset, SufficientStats
+from nerm.model import Cluster, ClusteredDataset, ParameterVector, SufficientStats
+from nerm.simulation import SimConfig, run_replications
 
 from .helpers import make_dataset, random_dataset
 
@@ -238,7 +239,8 @@ def test_ci_reports_intervals(tmp_path, capsys):
         assert iv["level"] == 0.9
 
 
-def test_ci_both_computes_the_statistics_once(tmp_path, monkeypatch, capsys):
+def test_statistics_are_computed_once_per_dataset(tmp_path, monkeypatch, capsys):
+    # count computations (each builds one SufficientStats), not calls
     computed = []
     post_init = SufficientStats.__post_init__
 
@@ -251,6 +253,10 @@ def test_ci_both_computes_the_statistics_once(tmp_path, monkeypatch, capsys):
     assert main(["ci", "--input", path, "--method", "both"]) in (EXIT_OK, EXIT_FLAGGED)
     assert set(json.loads(capsys.readouterr().out)["results"]) == {"ml", "reml"}
     assert len(computed) == 1
+    computed.clear()
+    run_replications(SimConfig(g=12, cluster_sizes=4, seed=99,
+                               true_omega=ParameterVector(0.3, [], 1.0, [], 1.0)))
+    assert len(computed) == 1    # one replicate, one dataset
 
 
 def test_ci_center_and_contextual(tmp_path, capsys):

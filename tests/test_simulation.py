@@ -16,7 +16,7 @@ from nerm.errors import (
     InvalidConfig,
     InvalidDistribution,
 )
-from nerm.model import ParameterVector, SufficientStats, parameter_names
+from nerm.model import ParameterVector, parameter_names
 from nerm.simulation import (
     CenteredGamma,
     CenteredLogNormal,
@@ -255,19 +255,6 @@ def test_run_replications_with_one_replicate():
     assert np.isnan(s.cross_block_max_correlation)
     assert all(v in (0.0, 1.0) for v in s.coverage.values())
     assert np.isfinite(s.gap_mean) and s.gap_median == s.gap_mean
-
-
-def test_one_replicate_computes_its_statistics_once(monkeypatch):
-    computed = []
-    post_init = SufficientStats.__post_init__
-
-    def counting(self):
-        computed.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(SufficientStats, "__post_init__", counting)
-    run_replications(_plain_config(replications=1))
-    assert len(computed) == 1
 
 
 def test_all_failing_replicates_raise():
