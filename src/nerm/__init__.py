@@ -25,18 +25,16 @@ from .errors import (
     SingularDelta,
 )
 from .model import (
-    Cluster,
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
     center_within_covariates,
+    parameter_layout,
     sufficient_stats,
     tau,
     validate_dataset,
 )
 from .likelihood import (
-    ScoreJacobian,
-    ScoreVector,
     expected_score_jacobian,
     log_likelihood,
     score,

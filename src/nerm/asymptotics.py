@@ -46,7 +46,13 @@ from .errors import (
 )
 from .estimation import FitResult
 from .likelihood import expected_score_jacobian
-from .model import ClusteredDataset, ParameterVector, SufficientStats
+from .model import (
+    ClusteredDataset,
+    ParameterVector,
+    SufficientStats,
+    parameter_layout,
+    sufficient_stats,
+)
 
 __all__ = [
     "NormalizationK",
@@ -157,13 +163,10 @@ class CovariateLimits:
         return self.C3.shape[0]
 
     @classmethod
-    def from_dataset(cls, ds: ClusteredDataset,
-                     stats: SufficientStats) -> "CovariateLimits":
+    def from_dataset(cls, ds: ClusteredDataset) -> "CovariateLimits":
         Xb = ds.x_b
-        c1 = Xb.mean(axis=0) if ds.p_b else np.empty(0)
-        C2 = Xb.T @ Xb / stats.g if ds.p_b else np.empty((0, 0))
-        C3 = stats.S_w_x / stats.n if ds.p_w else np.empty((0, 0))
-        return cls(c1=c1, C2=C2, C3=C3)
+        return cls(c1=Xb.mean(axis=0), C2=Xb.T @ Xb / ds.g,
+                   C3=sufficient_stats(ds).S_w_x / ds.n)
 
 
 @dataclass(frozen=True)
@@ -229,11 +232,6 @@ class InfluencePoint:
 # limit matrices
 # ---------------------------------------------------------------------------
 
-def _indices(p_b: int, p_w: int):
-    dim = p_b + p_w + 3
-    return dim, 0, slice(1, 1 + p_b), 1 + p_b, slice(2 + p_b, 2 + p_b + p_w), dim - 1
-
-
 def _between_pieces(limits: CovariateLimits):
     """d, d1, D2 via the blockwise inverse of [[1, c1'], [c1, C2]]."""
     c1, C2 = limits.c1, limits.C2
@@ -258,8 +256,7 @@ def matrix_B(limits: CovariateLimits, theta_dot) -> np.ndarray:
     then 1/(2 sigma_alpha_sq^2), then C3/sigma_e_sq, then 1/(2 sigma_e_sq^2).
     """
     sa, se = float(theta_dot[0]), float(theta_dot[1])
-    p_b, p_w = limits.p_b, limits.p_w
-    dim, i0, i1, ia, i2, ie = _indices(p_b, p_w)
+    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
     B = np.zeros((dim, dim))
     B[i0, i0] = 1.0 / sa
     B[i0, i1] = limits.c1 / sa
@@ -280,10 +277,8 @@ def matrix_A(limits: CovariateLimits, theta_dot,
     normal moments the two matrices coincide.
     """
     sa, se = float(theta_dot[0]), float(theta_dot[1])
-    p_b, p_w = limits.p_b, limits.p_w
-    dim, i0, i1, ia, i2, ie = _indices(p_b, p_w)
+    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
     A = matrix_B(limits, theta_dot)
-    A = A.copy()
     coupling = moments.mu3_alpha / (2.0 * sa**3)
     A[i0, ia] = A[ia, i0] = coupling
     A[i1, ia] = limits.c1 * coupling
@@ -303,8 +298,7 @@ def matrix_C(limits: CovariateLimits, theta_dot,
     beta2 and E e^4 - sigma_e_sq^2 for sigma_e_sq; all other cells vanish.
     """
     sa, se = float(theta_dot[0]), float(theta_dot[1])
-    p_b, p_w = limits.p_b, limits.p_w
-    dim, i0, i1, ia, i2, ie = _indices(p_b, p_w)
+    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
     d, d1, D2 = _between_pieces(limits)
     C = np.zeros((dim, dim))
     C[i0, i0] = sa * d
@@ -313,24 +307,23 @@ def matrix_C(limits: CovariateLimits, theta_dot,
     C[i1, i1] = sa * D2
     C[i0, ia] = C[ia, i0] = moments.mu3_alpha
     C[ia, ia] = moments.mu4_alpha - sa * sa
-    if p_w:
+    if limits.p_w:
         C[i2, i2] = se * np.linalg.inv(limits.C3)
     C[ie, ie] = moments.mu4_e - se * se
     return AsymptoticCovariance(C=C, d=d, d1=d1, D2=D2)
 
 
-def matrix_Bn(ds: ClusteredDataset, stats: SufficientStats,
-              theta_dot) -> np.ndarray:
+def matrix_Bn(stats: SufficientStats, theta_dot) -> np.ndarray:
     """Finite-sample analogue of B for the design at hand.
 
     Equals -K^(-1/2) E psi'(omega_dot) K^(-1/2) and converges to
     :func:`matrix_B` as g and the smallest cluster grow.  The coefficients
     of omega_dot cancel in E psi' at omega = omega_dot, so zeros stand in.
     """
-    omega_dot = ParameterVector(0.0, np.zeros(ds.p_b), theta_dot[0],
-                                np.zeros(ds.p_w), theta_dot[1])
-    J = expected_score_jacobian(ds, stats, omega_dot, omega_dot).matrix
-    k = NormalizationK.from_counts(stats.g, stats.n, ds.p_b, ds.p_w).sqrt
+    omega_dot = ParameterVector(0.0, np.zeros(stats.p_b), theta_dot[0],
+                                np.zeros(stats.p_w), theta_dot[1])
+    J = expected_score_jacobian(stats, omega_dot, omega_dot)
+    k = NormalizationK.from_counts(stats.g, stats.n, stats.p_b, stats.p_w).sqrt
     return -J / np.outer(k, k)
 
 
@@ -366,8 +359,7 @@ def influence(point: InfluencePoint, limits: CovariateLimits,
 # plug-in moments and confidence intervals
 # ---------------------------------------------------------------------------
 
-def estimate_moments(ds: ClusteredDataset, stats: SufficientStats,
-                     fit: FitResult) -> MomentEstimates:
+def estimate_moments(ds: ClusteredDataset, fit: FitResult) -> MomentEstimates:
     """Plug-in moment estimates from fit residuals.
 
     Cluster-level: empirical third/fourth moments of the cluster-mean
@@ -376,6 +368,7 @@ def estimate_moments(ds: ClusteredDataset, stats: SufficientStats,
     averaged over all n observations.
     """
     om = fit.omega_hat
+    stats = sufficient_stats(ds)
     rb = stats.ybar - stats.Z @ om.beta
     mu3_a = float(np.mean(rb**3))
     mu4_a = float(np.mean(rb**4))

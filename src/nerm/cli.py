@@ -41,7 +41,6 @@ from .errors import InvalidConfig, NermError, ParseError
 from .estimation import FitResult, fit_ml, fit_reml
 from .likelihood import log_likelihood, score
 from .model import (
-    Cluster,
     ClusteredDataset,
     ParameterVector,
     center_within_covariates,
@@ -250,6 +249,9 @@ class RunConfig:
             raise InvalidConfig(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.contextual and not self.center:
             raise InvalidConfig("--contextual requires --center")
+        if self.p_b < 0 or self.p_w < 0:
+            raise InvalidConfig(f"--p-b and --p-w must be >= 0, got {self.p_b} "
+                                f"and {self.p_w}")
 
 
 def _fit_dict(fit: FitResult) -> dict:
@@ -329,13 +331,12 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_ci(cfg: RunConfig) -> int:
     """Fit, then emit confidence intervals for every parameter."""
     ds = _load_input(cfg)
-    stats = sufficient_stats(ds)
-    limits = CovariateLimits.from_dataset(ds, stats)
+    limits = CovariateLimits.from_dataset(ds)
     results = {}
     flagged = False
     for name, fn in _methods(cfg):
         fit = fn(ds)
-        moments = estimate_moments(ds, stats, fit)
+        moments = estimate_moments(ds, fit)
         cis = confidence_intervals(fit, limits, moments, cfg.gamma)
         results[name] = {
             "fit": _fit_dict(fit),
@@ -398,16 +399,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _dense_loglik(ds, omega):
     """Independent dense-covariance likelihood route used only for checking."""
+    resid = ds.y - omega.beta0 - ds.x_w @ omega.beta2 \
+        - np.repeat(ds.x_b @ omega.beta1, ds.cluster_sizes)
     total = 0.0
-    for c in ds.clusters:
-        m = c.y.size
-        mean = omega.beta0 + float(c.x_b @ omega.beta1) + c.x_w @ omega.beta2
+    for lo, hi in zip(ds.offsets[:-1], ds.offsets[1:]):
+        m = int(hi - lo)
         cov = omega.sigma_e_sq * np.eye(m) \
             + omega.sigma_alpha_sq * np.ones((m, m))
         sign, logdet = np.linalg.slogdet(cov)
-        resid = c.y - mean
+        r = resid[lo:hi]
         total += -0.5 * m * math.log(2.0 * math.pi) - 0.5 * logdet \
-            - 0.5 * float(resid @ np.linalg.solve(cov, resid))
+            - 0.5 * float(r @ np.linalg.solve(cov, r))
     return total
 
 
@@ -417,15 +419,17 @@ def _verify_dataset(rng, g=5, m_max=6, p_b=1, p_w=1):
     omega = ParameterVector(rng.normal(), rng.normal(size=p_b),
                             rng.uniform(0.4, 1.6), rng.normal(size=p_w),
                             rng.uniform(0.4, 1.6))
-    clusters = []
-    for i, m in enumerate(sizes):
-        xb = rng.normal(size=p_b)
-        xw = rng.normal(size=(m, p_w))
-        y = (omega.beta0 + xb @ omega.beta1 + xw @ omega.beta2
-             + rng.normal(scale=math.sqrt(omega.sigma_alpha_sq))
-             + rng.normal(scale=math.sqrt(omega.sigma_e_sq), size=m))
-        clusters.append(Cluster(f"c{i}", y, xb, xw))
-    return ClusteredDataset.from_clusters(clusters, p_b=p_b, p_w=p_w), omega
+    ys, xbs, xws = [], [], []
+    for m in sizes:   # per cluster, so the draws keep their order
+        xbs.append(rng.normal(size=p_b))
+        xws.append(rng.normal(size=(m, p_w)))
+        ys.append(omega.beta0 + xbs[-1] @ omega.beta1 + xws[-1] @ omega.beta2
+                  + rng.normal(scale=math.sqrt(omega.sigma_alpha_sq))
+                  + rng.normal(scale=math.sqrt(omega.sigma_e_sq), size=m))
+    ds = ClusteredDataset(y=np.concatenate(ys), x_w=np.concatenate(xws),
+                          x_b=np.array(xbs), offsets=np.r_[0, np.cumsum(sizes)],
+                          ids=[f"c{i}" for i in range(g)])
+    return ds, omega
 
 
 def _check_likelihood_oracle(rng):
@@ -434,7 +438,7 @@ def _check_likelihood_oracle(rng):
         ds, om1 = _verify_dataset(rng)
         _, om2 = _verify_dataset(rng)
         stats = sufficient_stats(ds)
-        mine = log_likelihood(ds, stats, om1) - log_likelihood(ds, stats, om2)
+        mine = log_likelihood(stats, om1) - log_likelihood(stats, om2)
         dense = _dense_loglik(ds, om1) - _dense_loglik(ds, om2)
         worst = max(worst, abs(mine - dense) / max(1.0, abs(dense)))
     return worst < 1e-8, f"max relative deviation {worst:.2e} (tol 1e-8)"
@@ -447,14 +451,14 @@ def _check_gradients(rng):
         stats = sufficient_stats(ds)
         flat = om.flatten()
         p_b, p_w = om.p_b, om.p_w
-        analytic = score(ds, stats, om).flat
+        analytic = score(stats, om)
         for k in range(flat.size):
             h = 1e-6 * (1.0 + abs(flat[k]))
             up, dn = flat.copy(), flat.copy()
             up[k] += h
             dn[k] -= h
-            fd = (log_likelihood(ds, stats, ParameterVector.from_flat(up, p_b, p_w))
-                  - log_likelihood(ds, stats, ParameterVector.from_flat(dn, p_b, p_w))) \
+            fd = (log_likelihood(stats, ParameterVector.from_flat(up, p_b, p_w))
+                  - log_likelihood(stats, ParameterVector.from_flat(dn, p_b, p_w))) \
                 / (2.0 * h)
             worst = max(worst, abs(fd - analytic[k]) / max(1.0, abs(analytic[k])))
     return worst < 1e-5, f"max relative deviation {worst:.2e} (tol 1e-5)"

@@ -48,11 +48,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateWithinDesign, SingularDelta
-from .likelihood import ScoreVector, log_likelihood, score
+from .likelihood import log_likelihood, score
 from .model import (
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
+    parameter_layout,
     sufficient_stats,
     tau,
     validate_dataset,
@@ -137,14 +138,13 @@ def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVecto
     return ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
 
 
-def reml_criterion(ds: ClusteredDataset, stats: SufficientStats, theta) -> float:
+def reml_criterion(stats: SufficientStats, theta) -> float:
     """Restricted likelihood objective l(beta_hat(theta), theta) - (1/2) log|Delta|."""
     beta, _, logdet = _at_theta(stats, theta)
-    return log_likelihood(ds, stats, _omega_at(stats, beta, theta)) - 0.5 * logdet
+    return log_likelihood(stats, _omega_at(stats, beta, theta)) - 0.5 * logdet
 
 
-def adjusted_score(ds: ClusteredDataset, stats: SufficientStats,
-                   omega: ParameterVector) -> ScoreVector:
+def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
     """REML estimating function: the score with trace-corrected variance entries.
 
     The coefficient entries coincide with the plain score; the variance
@@ -163,15 +163,11 @@ def adjusted_score(ds: ClusteredDataset, stats: SufficientStats,
     dA = -(Z.T * t2) @ Z
     dE = -(Z.T * (t2 / stats.m)) @ Z
     dE[k:, k:] -= stats.S_w_x / se**2
-    sc = score(ds, stats, omega)
-    return ScoreVector(
-        l_beta0=sc.l_beta0,
-        l_beta1=sc.l_beta1,
-        l_sigma_alpha_sq=sc.l_sigma_alpha_sq
-        - 0.5 * se * float(np.trace(_chol_solve(L, dA))),
-        l_beta2=sc.l_beta2,
-        l_sigma_e_sq=sc.l_sigma_e_sq - 0.5 * se * float(np.trace(_chol_solve(L, dE))),
-    )
+    out = score(stats, omega)
+    _, _, _, ia, _, ie = parameter_layout(stats.p_b, stats.p_w)
+    out[ia] -= 0.5 * se * float(np.trace(_chol_solve(L, dA)))
+    out[ie] -= 0.5 * se * float(np.trace(_chol_solve(L, dE)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +242,12 @@ def _search(at):
     return max(candidates, key=lambda c: c[0].value)
 
 
-def _collapsed(ds: ClusteredDataset, stats: SufficientStats,
-               beta2: np.ndarray, reml: bool) -> ParameterVector:
+def _collapsed(ds: ClusteredDataset, beta2: np.ndarray,
+               reml: bool) -> ParameterVector:
     """Closed-form fit when the within residual vanishes: beta2 from the
     within equations, (beta0, beta1) by OLS on the adjusted cluster means,
     sigma_alpha_sq from their residuals and sigma_e_sq = FLOOR * that."""
+    stats = sufficient_stats(ds)
     Xb = stats.Z[:, :1 + stats.p_b]
     target = stats.ybar - stats.xbar_w @ beta2
     coef, *_ = np.linalg.lstsq(Xb, target, rcond=None)
@@ -292,10 +289,10 @@ class FitResult:
     n: int
 
 
-def _within_beta2(ds: ClusteredDataset, stats: SufficientStats) -> np.ndarray:
+def _within_beta2(stats: SufficientStats) -> np.ndarray:
     """Within-cluster estimator S_w_x^-1 S_w_xy; raises when S_w_x is
     rank deficient."""
-    if ds.p_w == 0:
+    if stats.p_w == 0:
         return np.zeros(0)
     eigs = np.linalg.eigvalsh(0.5 * (stats.S_w_x + stats.S_w_x.T))
     if eigs[0] <= 1e-12 * max(float(eigs[-1]), 1.0):
@@ -309,7 +306,7 @@ def _within_beta2(ds: ClusteredDataset, stats: SufficientStats) -> np.ndarray:
 def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     validate_dataset(ds)
     stats = sufficient_stats(ds)
-    beta2 = _within_beta2(ds, stats)
+    beta2 = _within_beta2(stats)
     # Q_min is zero to rounding when it cancels against S_w_y, or when the
     # within deviations themselves are at the rounding level of y
     q_min = stats.S_w_y - float(stats.S_w_xy @ beta2)
@@ -317,7 +314,7 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     if q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y):
         # the search decides SingularDelta at gamma = 0; so does this branch
         _solve(stats, 0.0)
-        omega, boundary = _collapsed(ds, stats, beta2, reml), True
+        omega, boundary = _collapsed(ds, beta2, reml), True
     else:
         def at(gamma):
             nonlocal evals
@@ -328,14 +325,14 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
         se = best.sigma_e_sq
         omega = _omega_at(stats, best.beta, (best.gamma * se, se))
 
-    val = log_likelihood(ds, stats, omega)
+    val = log_likelihood(stats, omega)
     if reml:
         _, _, logdet = _at_theta(stats, omega.theta)
         val -= 0.5 * logdet
-        estimating = adjusted_score(ds, stats, omega)
+        estimating = adjusted_score(stats, omega)
     else:
-        estimating = score(ds, stats, omega)
-    sn = estimating.norm()
+        estimating = score(stats, omega)
+    sn = float(np.linalg.norm(estimating))
     return FitResult(
         omega_hat=omega,
         method="reml" if reml else "ml",

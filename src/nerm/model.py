@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .errors import (
 
 __all__ = [
     "ParameterVector",
-    "Cluster",
+    "parameter_layout",
     "ClusteredDataset",
     "SufficientStats",
     "validate_dataset",
@@ -124,17 +123,12 @@ class ParameterVector:
     @classmethod
     def from_flat(cls, flat: np.ndarray, p_b: int, p_w: int) -> "ParameterVector":
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (p_b + p_w + 3,):
+        dim, i0, i1, ia, i2, ie = parameter_layout(p_b, p_w)
+        if flat.shape != (dim,):
             raise RaggedCovariates(
-                f"flat parameter vector has length {flat.size}, expected {p_b + p_w + 3}"
+                f"flat parameter vector has length {flat.size}, expected {dim}"
             )
-        return cls(
-            beta0=flat[0],
-            beta1=flat[1:1 + p_b],
-            sigma_alpha_sq=flat[1 + p_b],
-            beta2=flat[2 + p_b:2 + p_b + p_w],
-            sigma_e_sq=flat[-1],
-        )
+        return cls(flat[i0], flat[i1], flat[ia], flat[i2], flat[ie])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterVector):
@@ -143,37 +137,17 @@ class ParameterVector:
             and bool(np.all(self.flatten() == other.flatten()))
 
 
+def parameter_layout(p_b: int, p_w: int):
+    """Positions in the canonical flat layout (beta0, beta1, sigma_alpha_sq,
+    beta2, sigma_e_sq): returns (dim, i0, i1, ia, i2, ie), where i1 and i2
+    are slices and the others integers."""
+    dim = p_b + p_w + 3
+    return dim, 0, slice(1, 1 + p_b), 1 + p_b, slice(2 + p_b, 2 + p_b + p_w), dim - 1
+
+
 # ---------------------------------------------------------------------------
 # data containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cluster:
-    """One cluster: responses plus its covariates.
-
-    ``x_b`` is the cluster-level covariate vector (length p_b) and ``x_w``
-    the (m_i, p_w) matrix of within-cluster covariates aligned with ``y``.
-    Packed by :meth:`ClusteredDataset.from_clusters`.
-    """
-
-    id: str
-    y: np.ndarray
-    x_b: np.ndarray
-    x_w: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "y", _readonly(np.atleast_1d(self.y)))
-        object.__setattr__(self, "x_b", _readonly(np.atleast_1d(self.x_b)))
-        xw = _readonly(self.x_w)
-        if xw.ndim == 1:  # allow (m,) shorthand for p_w == 1
-            xw = xw[:, None]
-        object.__setattr__(self, "x_w", xw)
-
-    @property
-    def m(self) -> int:
-        return self.y.size
-
 
 @dataclass(frozen=True, eq=False)
 class ClusteredDataset:
@@ -205,25 +179,6 @@ class ClusteredDataset:
                 f"dataset arrays disagree: y {y.shape}, x_w {x_w.shape}, "
                 f"x_b {x_b.shape}, offsets {offsets.shape}, ids {ids.shape}"
             )
-
-    @classmethod
-    def from_clusters(cls, clusters: Sequence[Cluster], p_b: int,
-                      p_w: int) -> "ClusteredDataset":
-        """Pack per-cluster records into the flat arrays; raises
-        RaggedCovariates when a cluster's covariates disagree with p_b/p_w."""
-        for c in clusters:
-            if c.x_b.shape != (p_b,) or c.x_w.shape != (c.m, p_w):
-                raise RaggedCovariates(
-                    f"cluster {c.id!r}: x_b has shape {c.x_b.shape} and x_w "
-                    f"{c.x_w.shape}, expected ({p_b},) and ({c.m}, {p_w})"
-                )
-        return cls(
-            y=np.concatenate([c.y for c in clusters] + [np.empty(0)]),
-            x_w=np.concatenate([c.x_w for c in clusters] + [np.empty((0, p_w))]),
-            x_b=np.array([c.x_b for c in clusters]).reshape(len(clusters), p_b),
-            offsets=np.concatenate(([0], np.cumsum([c.m for c in clusters]))),
-            ids=[c.id for c in clusters],
-        )
 
     @property
     def p_b(self) -> int:
@@ -261,14 +216,6 @@ class ClusteredDataset:
             S_w_y=float(dy @ dy), S_w_xy=dx.T @ dy, S_w_x=dx.T @ dx,
             n=self.n, g=self.g,
         )
-
-    @cached_property
-    def clusters(self) -> tuple[Cluster, ...]:
-        """Per-cluster copies, built on demand for inspection, tests and the
-        dense cross checks of ``nerm verify``."""
-        o = self.offsets
-        return tuple(Cluster(self.ids[k], self.y[o[k]:o[k + 1]], self.x_b[k],
-                             self.x_w[o[k]:o[k + 1]]) for k in range(self.g))
 
 
 def _cluster_means(ds: ClusteredDataset, a: np.ndarray) -> np.ndarray:
@@ -377,7 +324,11 @@ class SufficientStats:
 
     @property
     def p_b(self) -> int:
-        return self.Z.shape[1] - 1 - self.xbar_w.shape[1]
+        return self.Z.shape[1] - 1 - self.p_w
+
+    @property
+    def p_w(self) -> int:
+        return self.xbar_w.shape[1]
 
 
 def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:

@@ -42,8 +42,8 @@ from .estimation import fit_ml, fit_reml
 from .model import (
     ClusteredDataset,
     ParameterVector,
+    parameter_layout,
     parameter_names,
-    sufficient_stats,
 )
 
 __all__ = [
@@ -434,17 +434,15 @@ def _run_one(cfg: SimConfig, index: int):
         sums[int(m)] = (np.array([np.sum(vals**k) for k in range(1, 9)]),
                         vals.size)
     try:
-        stats = sufficient_stats(ds)
         ml = fit_ml(ds)
         reml = fit_reml(ds)
         true_flat = cfg.true_omega.flatten()
-        k_half = NormalizationK.from_counts(
-            stats.g, stats.n, ds.p_b, ds.p_w).sqrt
+        k_half = NormalizationK.from_counts(ds.g, ds.n, ds.p_b, ds.p_w).sqrt
         norm_err = k_half * (ml.omega_hat.flatten() - true_flat)
         gap = float(np.linalg.norm(
             k_half * (reml.omega_hat.flatten() - ml.omega_hat.flatten())))
-        limits = CovariateLimits.from_dataset(ds, stats)
-        moments = estimate_moments(ds, stats, ml)
+        limits = CovariateLimits.from_dataset(ds)
+        moments = estimate_moments(ds, ml)
         cis = confidence_intervals(ml, limits, moments, cfg.gamma)
         truth = dict(zip(parameter_names(ds.p_b, ds.p_w), true_flat))
         hits = {ci.name: ci.contains(truth[ci.name]) for ci in cis}
@@ -611,8 +609,8 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
         denom = np.outer(sd, sd)
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.where(denom > 0, emp_cov / denom, 0.0)
-        nb = p_b + 2
-        cross = corr[:nb, nb:]
+        _, _, _, ia, _, _ = parameter_layout(p_b, p_w)
+        cross = corr[:ia + 1, ia + 1:]   # between rows, within columns
         cross_max = float(np.max(np.abs(cross))) if cross.size else 0.0
     else:   # a covariance needs two replicates
         emp_cov = np.full((dim, dim), np.nan)
@@ -721,12 +719,11 @@ def rate_probe(cfg_sequence: Sequence[SimConfig],
     sd1, sd2 = [], []
     for c in cfgs:
         summary = run_replications(c, max_workers=max_workers)
-        i_b1 = 1                      # first beta1 entry
-        i_b2 = 2 + c.true_omega.p_b   # first beta2 entry
+        _, _, i1, _, i2, _ = parameter_layout(c.true_omega.p_b, c.true_omega.p_w)
         ests = np.vstack([r.omega_ml for r in summary.replicates
                           if r.ok and not r.boundary])
-        sd1.append(float(np.std(ests[:, i_b1], ddof=1)))
-        sd2.append(float(np.std(ests[:, i_b2], ddof=1)))
+        sd1.append(float(np.std(ests[:, i1.start], ddof=1)))   # first beta1 entry
+        sd2.append(float(np.std(ests[:, i2.start], ddof=1)))   # first beta2 entry
     slope1 = _ls_slope(np.log(np.asarray(gs, dtype=float)), np.log(np.asarray(sd1)))
     slope2 = _ls_slope(np.log(np.asarray(ns, dtype=float)), np.log(np.asarray(sd2)))
     return RateReport(

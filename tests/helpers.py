@@ -7,24 +7,80 @@ differences.  Agreement between these and the package is what the tests
 assert, so none of these oracles may ever call into the code under test
 except to construct plain data containers.  The one exception is
 :func:`score_jacobian_rows`, a test utility that composes the library's
-``score_jacobian`` row by row.
+``score_jacobian`` row by row.  Per-cluster records (:class:`Cluster`) are
+packed into, and unpacked from, the library's flat dataset arrays here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from nerm.errors import RaggedCovariates
 from nerm.likelihood import score_jacobian
-from nerm.model import Cluster, ClusteredDataset, ParameterVector
+from nerm.model import ClusteredDataset, ParameterVector
 
 # ---------------------------------------------------------------------------
 # dataset builders
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Cluster:
+    """One cluster: responses plus its covariates.
+
+    ``x_b`` is the cluster-level covariate vector (length p_b) and ``x_w``
+    the (m_i, p_w) matrix of within-cluster covariates aligned with ``y``.
+    """
+
+    id: str
+    y: np.ndarray
+    x_b: np.ndarray
+    x_w: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "id", str(self.id))
+        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
+        object.__setattr__(self, "x_b", np.atleast_1d(np.asarray(self.x_b, dtype=float)))
+        xw = np.asarray(self.x_w, dtype=float)
+        if xw.ndim == 1:  # allow (m,) shorthand for p_w == 1
+            xw = xw[:, None]
+        object.__setattr__(self, "x_w", xw)
+
+    @property
+    def m(self) -> int:
+        return self.y.size
+
+
+def pack(records, p_b: int, p_w: int) -> ClusteredDataset:
+    """Pack per-cluster records into the flat arrays; raises
+    RaggedCovariates when a cluster's covariates disagree with p_b/p_w."""
+    for c in records:
+        if c.x_b.shape != (p_b,) or c.x_w.shape != (c.m, p_w):
+            raise RaggedCovariates(
+                f"cluster {c.id!r}: x_b has shape {c.x_b.shape} and x_w "
+                f"{c.x_w.shape}, expected ({p_b},) and ({c.m}, {p_w})"
+            )
+    return ClusteredDataset(
+        y=np.concatenate([c.y for c in records] + [np.empty(0)]),
+        x_w=np.concatenate([c.x_w for c in records] + [np.empty((0, p_w))]),
+        x_b=np.array([c.x_b for c in records]).reshape(len(records), p_b),
+        offsets=np.concatenate(([0], np.cumsum([c.m for c in records]))),
+        ids=[c.id for c in records],
+    )
+
+
+def clusters(ds: ClusteredDataset) -> list[Cluster]:
+    """Per-cluster records of a dataset's rows, the inverse of :func:`pack`."""
+    o = ds.offsets
+    return [Cluster(ds.ids[k], ds.y[o[k]:o[k + 1]], ds.x_b[k], ds.x_w[o[k]:o[k + 1]])
+            for k in range(ds.g)]
+
+
 def make_dataset(y_by_cluster, x_b=None, x_w=None, p_b=0, p_w=0) -> ClusteredDataset:
     """Assemble a dataset from plain lists; no validation side effects."""
-    clusters = []
+    records = []
     for k, y in enumerate(y_by_cluster):
         y = np.asarray(y, dtype=float)
         xb = np.asarray(x_b[k], dtype=float) if x_b is not None else np.empty(0)
@@ -34,8 +90,8 @@ def make_dataset(y_by_cluster, x_b=None, x_w=None, p_b=0, p_w=0) -> ClusteredDat
                 xw = xw[:, None]
         else:
             xw = np.empty((y.size, 0))
-        clusters.append(Cluster(f"c{k:03d}", y, xb, xw))
-    return ClusteredDataset.from_clusters(clusters, p_b=p_b, p_w=p_w)
+        records.append(Cluster(f"c{k:03d}", y, xb, xw))
+    return pack(records, p_b=p_b, p_w=p_w)
 
 
 def random_dataset(rng, g, m_max=8, p_b=1, p_w=1, m_min=1):
@@ -83,7 +139,7 @@ def naive_sufficient_stats(ds: ClusteredDataset):
     S_w_y = 0.0
     S_w_xy = np.zeros(ds.p_w)
     S_w_x = np.zeros((ds.p_w, ds.p_w))
-    for c in ds.clusters:
+    for c in clusters(ds):
         mi = len(c.y)
         m.append(mi)
         yb = sum(float(v) for v in c.y) / mi
@@ -106,7 +162,7 @@ def naive_sufficient_stats(ds: ClusteredDataset):
 def naive_center(ds: ClusteredDataset, add_contextual: bool):
     """Per-cluster (x_b, x_w) after centering, by explicit loops."""
     out = []
-    for c in ds.clusters:
+    for c in clusters(ds):
         mi = len(c.y)
         mean = [sum(float(c.x_w[j, r]) for j in range(mi)) / mi
                 for r in range(ds.p_w)]
@@ -120,7 +176,7 @@ def naive_center(ds: ClusteredDataset, add_contextual: bool):
 def naive_first_nonfinite(ds: ClusteredDataset):
     """(cluster id, "response" or "covariate") of the first non-finite
     value, checking each cluster's responses before its covariates."""
-    for c in ds.clusters:
+    for c in clusters(ds):
         if not all(np.isfinite(float(v)) for v in c.y):
             return c.id, "response"
         values = [float(v) for v in c.x_b] + [float(v) for v in c.x_w.ravel()]
@@ -135,7 +191,7 @@ def naive_moments(ds: ClusteredDataset, omega: ParameterVector):
     observation residuals."""
     m, ybar, xbar, *_ = naive_sufficient_stats(ds)
     s3a = s4a = s3e = s4e = 0.0
-    for k, c in enumerate(ds.clusters):
+    for k, c in enumerate(clusters(ds)):
         rb = ybar[k] - omega.beta0 \
             - sum(float(c.x_b[r]) * omega.beta1[r] for r in range(ds.p_b)) \
             - sum(xbar[k, r] * omega.beta2[r] for r in range(ds.p_w))
@@ -164,7 +220,7 @@ def dense_mvn_loglik(ds: ClusteredDataset, omega: ParameterVector) -> float:
     on the parameters.
     """
     total = 0.0
-    for c in ds.clusters:
+    for c in clusters(ds):
         m = c.y.size
         mean = omega.beta0 + float(c.x_b @ omega.beta1) + c.x_w @ omega.beta2
         cov = omega.sigma_e_sq * np.eye(m) + omega.sigma_alpha_sq * np.ones((m, m))
@@ -261,19 +317,19 @@ def fd_jacobian(f, x, scale=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def score_jacobian_rows(ds, stats, omegas) -> np.ndarray:
+def score_jacobian_rows(stats, omegas) -> np.ndarray:
     """Derivative matrix with each row evaluated at its own parameter vector.
 
     This is the mean-value form used in consistency arguments: row k of the
     result equals row k of ``score_jacobian`` evaluated at ``omegas[k]``.
     All vectors must share the covariate dimensions.
     """
-    dim = ds.p_b + ds.p_w + 3
+    dim = stats.p_b + stats.p_w + 3
     if len(omegas) != dim:
         raise ValueError(f"need exactly {dim} parameter vectors, got {len(omegas)}")
     out = np.empty((dim, dim))
     for k, om in enumerate(omegas):
-        out[k] = score_jacobian(ds, stats, om).matrix[k]
+        out[k] = score_jacobian(stats, om)[k]
     return out
 
 

@@ -39,7 +39,15 @@ from nerm.simulation import (
     run_replications,
 )
 
-from .helpers import dense_mvn_loglik, fd_gradient, fd_jacobian, make_dataset, random_dataset, random_omega
+from .helpers import (
+    clusters,
+    dense_mvn_loglik,
+    fd_gradient,
+    fd_jacobian,
+    make_dataset,
+    random_dataset,
+    random_omega,
+)
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -76,7 +84,7 @@ def test_criterion_01_likelihood_oracle(capsys):
         stats = sufficient_stats(ds)
         o1 = random_omega(rng, p_b, p_w)
         o2 = random_omega(rng, p_b, p_w)
-        got = log_likelihood(ds, stats, o1) - log_likelihood(ds, stats, o2)
+        got = log_likelihood(stats, o1) - log_likelihood(stats, o2)
         want = dense_mvn_loglik(ds, o1) - dense_mvn_loglik(ds, o2)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     _report(capsys, 1, worst < 1e-8,
@@ -100,10 +108,10 @@ def test_criterion_02_derivative_identities(capsys):
         stats = sufficient_stats(ds)
         omega = random_omega(rng, p_b, p_w)
 
-        def loglik_flat(v, ds=ds, stats=stats, p_b=p_b, p_w=p_w):
-            return log_likelihood(ds, stats, ParameterVector.from_flat(v, p_b, p_w))
+        def loglik_flat(v, stats=stats, p_b=p_b, p_w=p_w):
+            return log_likelihood(stats, ParameterVector.from_flat(v, p_b, p_w))
 
-        analytic = score(ds, stats, omega).flat
+        analytic = score(stats, omega)
         numeric = fd_gradient(loglik_flat, omega.flatten())
         rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(numeric))
         worst_grad = max(worst_grad, rel)
@@ -115,10 +123,10 @@ def test_criterion_02_derivative_identities(capsys):
         stats = sufficient_stats(ds)
         omega = random_omega(rng, p_b, p_w)
 
-        def score_flat(v, ds=ds, stats=stats, p_b=p_b, p_w=p_w):
-            return score(ds, stats, ParameterVector.from_flat(v, p_b, p_w)).flat
+        def score_flat(v, stats=stats, p_b=p_b, p_w=p_w):
+            return score(stats, ParameterVector.from_flat(v, p_b, p_w))
 
-        analytic = score_jacobian(ds, stats, omega).matrix
+        analytic = score_jacobian(stats, omega)
         numeric = fd_jacobian(score_flat, omega.flatten())
         rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(numeric))
         worst_jac = max(worst_jac, rel)
@@ -129,11 +137,12 @@ def test_criterion_02_derivative_identities(capsys):
     omega_dot = ParameterVector(0.4, [0.7], 0.6, [-0.3], 0.9)
     omega_eval = ParameterVector(0.1, [0.4], 1.1, [0.2], 1.4)
     stats_base = sufficient_stats(base)
-    expected = expected_score_jacobian(base, stats_base, omega_eval, omega_dot).matrix
+    expected = expected_score_jacobian(stats_base, omega_eval, omega_dot)
 
+    base_clusters = clusters(base)
     surfaces = [
         omega_dot.beta0 + c.x_b @ omega_dot.beta1 + c.x_w @ omega_dot.beta2
-        for c in base.clusters
+        for c in base_clusters
     ]
     n_rep = 10_000
     dim = expected.shape[0]
@@ -146,9 +155,9 @@ def test_criterion_02_derivative_identities(capsys):
             surf + sa_dot * rng.standard_normal() + se_dot * rng.standard_normal(surf.size)
             for surf in surfaces
         ]
-        ds_k = make_dataset(ys, [c.x_b for c in base.clusters],
-                            [c.x_w for c in base.clusters], p_b=1, p_w=1)
-        J = score_jacobian(ds_k, sufficient_stats(ds_k), omega_eval).matrix
+        ds_k = make_dataset(ys, [c.x_b for c in base_clusters],
+                            [c.x_w for c in base_clusters], p_b=1, p_w=1)
+        J = score_jacobian(sufficient_stats(ds_k), omega_eval)
         acc += J
         acc_sq += J * J
     mean = acc / n_rep
@@ -182,13 +191,13 @@ def test_criterion_03_closed_form_fixture(capsys):
     def ml_objective(theta):
         beta, _ = profile_beta(stats, theta)
         omega = ParameterVector(beta[0], np.zeros(0), theta[0], np.zeros(0), theta[1])
-        return log_likelihood(ds, stats, omega)
+        return log_likelihood(stats, omega)
 
     grids_ok = True
     details = []
     for fit, objective, center in (
         (ml, ml_objective, (0.75, 0.5)),
-        (reml, lambda th: reml_criterion(ds, stats, th), (1.75, 0.5)),
+        (reml, lambda th: reml_criterion(stats, th), (1.75, 0.5)),
     ):
         ua = np.log(center[0]) + np.linspace(-3.0, 3.0, 201)
         ue = np.log(center[1]) + np.linspace(-3.0, 3.0, 201)
@@ -288,7 +297,7 @@ def test_criterion_05_curvature_matrix_convergence(capsys):
         xbs = [[qb[i]] for i in range(g)]
         xws = [unit_grid(m)[:, None] for _ in range(g)]
         ds = make_dataset(ys, xbs, xws, p_b=1, p_w=1)
-        Bn = matrix_Bn(ds, sufficient_stats(ds), theta)
+        Bn = matrix_Bn(sufficient_stats(ds), theta)
         gaps.append(float(np.linalg.norm(Bn - B)))
 
     ok = gaps[0] > gaps[1] > gaps[2]

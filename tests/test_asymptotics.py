@@ -167,7 +167,7 @@ def test_limits_from_dataset_matches_definitions():
     rng = np.random.default_rng(43)
     ds, _ = random_dataset(rng, g=6, m_max=5, p_b=2, p_w=1, m_min=2)
     st = sufficient_stats(ds)
-    lim = CovariateLimits.from_dataset(ds, st)
+    lim = CovariateLimits.from_dataset(ds)
     Xb = ds.x_b
     assert np.allclose(lim.c1, Xb.mean(axis=0))
     assert np.allclose(lim.C2, Xb.T @ Xb / ds.g)
@@ -185,8 +185,8 @@ def test_Bn_is_normalized_expected_score_derivative():
                                     p_b=int(rng.integers(0, 3)),
                                     p_w=int(rng.integers(0, 3)), m_min=2)
         st = sufficient_stats(ds)
-        Bn = matrix_Bn(ds, st, om_dot.theta)
-        EJ = expected_score_jacobian(ds, st, om_dot, om_dot).matrix
+        Bn = matrix_Bn(st, om_dot.theta)
+        EJ = expected_score_jacobian(st, om_dot, om_dot)
         k_inv = 1.0 / NormalizationK.from_counts(
             st.g, st.n, ds.p_b, ds.p_w).sqrt
         assert np.allclose(Bn, -(k_inv[:, None] * EJ * k_inv[None, :]),
@@ -198,7 +198,7 @@ def test_Bn_two_singleton_clusters_by_hand():
     # (beta0, sa, se) = [[1/2, 0, 0], [0, 1/16, 1/8·1/√2·...]] worked below
     ds = make_dataset([[0.0], [1.0]])
     st = sufficient_stats(ds)
-    Bn = matrix_Bn(ds, st, (1.0, 1.0))
+    Bn = matrix_Bn(st, (1.0, 1.0))
     g = n = 2.0
     root_gn = 2.0
     assert Bn[0, 0] == pytest.approx(0.5)                   # mean tau
@@ -231,7 +231,7 @@ def test_Bn_approaches_B_for_balanced_deterministic_design():
         ds = build(g, m)
         st = sufficient_stats(ds)
         # the variance of the equally spaced grid is exactly 1 by scaling
-        Bn = matrix_Bn(ds, st, theta)
+        Bn = matrix_Bn(st, theta)
         gaps.append(np.linalg.norm(Bn - B))
     # the leading error is O(1/m) from tau_i -> 1/sigma_alpha_sq
     assert gaps[0] > gaps[1] > gaps[2]
@@ -290,11 +290,10 @@ def _fake_fit(omega, g, n):
 
 def test_estimate_moments_reduces_to_residual_power_means():
     ds = make_dataset([[1.0, -1.0], [2.0, 0.0]])
-    st = sufficient_stats(ds)
     # beta = 0, so cluster residuals are the means (0, 1) and the within
     # residuals are (1, -1, 1, -1)
     om = ParameterVector(0.0, [], 1.0, [], 1.0)
-    mom = estimate_moments(ds, st, _fake_fit(om, 2, 4))
+    mom = estimate_moments(ds, _fake_fit(om, 2, 4))
     assert mom.mu3_alpha == pytest.approx(0.5)   # (0 + 1) / 2
     assert mom.mu4_alpha == pytest.approx(0.5)
     assert mom.mu3_e == pytest.approx(0.0)
@@ -304,9 +303,8 @@ def test_estimate_moments_reduces_to_residual_power_means():
 def test_estimate_moments_tracks_the_law_on_a_big_sample():
     rng = np.random.default_rng(46)
     ds, om_dot = random_dataset(rng, g=400, m_max=30, p_b=1, p_w=1, m_min=20)
-    st = sufficient_stats(ds)
     fit = fit_ml(ds)
-    mom = estimate_moments(ds, st, fit)
+    mom = estimate_moments(ds, fit)
     sa, se = om_dot.sigma_alpha_sq, om_dot.sigma_e_sq
     assert mom.mu4_alpha == pytest.approx(3.0 * sa * sa, rel=0.5)
     assert mom.mu4_e == pytest.approx(3.0 * se * se, rel=0.25)

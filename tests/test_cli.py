@@ -17,10 +17,10 @@ from nerm.cli import (
     write_dataset_csv,
 )
 from nerm.errors import InvalidConfig, ParseError
-from nerm.model import Cluster, ClusteredDataset, ParameterVector, SufficientStats
+from nerm.model import ParameterVector, SufficientStats
 from nerm.simulation import SimConfig, run_replications
 
-from .helpers import make_dataset, random_dataset
+from .helpers import Cluster, clusters, make_dataset, pack, random_dataset
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -67,10 +67,10 @@ b,4.0,4.0,0.4
 def test_read_csv_basic(tmp_path):
     ds = read_dataset_csv(_write(tmp_path, GOOD_CSV))
     assert ds.g == 6 and ds.n == 18 and ds.p_b == 1 and ds.p_w == 1
-    assert [c.id for c in ds.clusters] == list("abcdef")
-    assert ds.clusters[0].y.tolist() == [0.73, 0.83, 0.16]
-    assert ds.clusters[1].x_b.tolist() == [1.6]
-    assert ds.clusters[1].x_w.tolist() == [[0.64], [0.45], [-0.3]]
+    assert [c.id for c in clusters(ds)] == list("abcdef")
+    assert clusters(ds)[0].y.tolist() == [0.73, 0.83, 0.16]
+    assert clusters(ds)[1].x_b.tolist() == [1.6]
+    assert clusters(ds)[1].x_w.tolist() == [[0.64], [0.45], [-0.3]]
 
 
 def test_read_csv_groups_by_first_appearance(tmp_path):
@@ -80,8 +80,8 @@ def test_read_csv_groups_by_first_appearance(tmp_path):
             "north,3\n"
             "south,4\n")
     ds = read_dataset_csv(_write(tmp_path, text))
-    assert [c.id for c in ds.clusters] == ["north", "south"]
-    assert ds.clusters[0].y.tolist() == [1.0, 3.0]
+    assert [c.id for c in clusters(ds)] == ["north", "south"]
+    assert clusters(ds)[0].y.tolist() == [1.0, 3.0]
 
 
 def test_read_csv_free_column_order(tmp_path):
@@ -90,8 +90,8 @@ def test_read_csv_free_column_order(tmp_path):
             "0.2,a,9,2\n"
             "0.3,b,8,3\n")
     ds = read_dataset_csv(_write(tmp_path, text))
-    assert ds.clusters[0].x_b.tolist() == [9.0]
-    assert ds.clusters[0].x_w.tolist() == [[0.1], [0.2]]
+    assert clusters(ds)[0].x_b.tolist() == [9.0]
+    assert clusters(ds)[0].x_w.tolist() == [[0.1], [0.2]]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -132,14 +132,14 @@ def test_read_csv_missing_file(tmp_path):
 def test_csv_round_trip_is_exact(tmp_path):
     # 17 significant digits reproduce doubles exactly
     awkward = [math.pi, 1.0 / 3.0, 6.02214076e23, 5e-324, -0.1]
-    ds = ClusteredDataset.from_clusters(
+    ds = pack(
         (Cluster("a", awkward[:3], [awkward[3]], [[v] for v in awkward[:3]]),
          Cluster("b", awkward[3:], [awkward[4]], [[v] for v in awkward[3:]])),
         p_b=1, p_w=1)
     path = str(tmp_path / "round.csv")
     write_dataset_csv(ds, path)
     back = read_dataset_csv(path)
-    for c1, c2 in zip(ds.clusters, back.clusters):
+    for c1, c2 in zip(clusters(ds), clusters(back)):
         assert np.array_equal(c1.y, c2.y)
         assert np.array_equal(c1.x_b, c2.x_b)
         assert np.array_equal(c1.x_w, c2.x_w)
@@ -152,7 +152,7 @@ def test_round_trip_random_dataset(tmp_path):
     write_dataset_csv(ds, path)
     back = read_dataset_csv(path)
     assert back.g == ds.g and back.p_b == 2 and back.p_w == 2
-    for c1, c2 in zip(ds.clusters, back.clusters):
+    for c1, c2 in zip(clusters(ds), clusters(back)):
         assert np.array_equal(c1.y, c2.y)
         assert np.array_equal(c1.x_w, c2.x_w)
 
@@ -330,7 +330,9 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys):
     assert main(["simulate", "--reps", "0"]) == EXIT_FAIL
     assert main(["simulate", "--e-dist", "cauchy"]) == EXIT_FAIL
     assert main(["simulate", "--g", "1"]) == EXIT_FAIL
-    assert capsys.readouterr().err.count("error:") == 3
+    assert main(["simulate", "--p-b", "-1"]) == EXIT_FAIL
+    assert main(["simulate", "--p-w", "-1"]) == EXIT_FAIL
+    assert capsys.readouterr().err.count("error:") == 5
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from nerm.model import center_within_covariates, sufficient_stats, validate_data
 
 from .helpers import (
     close,
+    clusters,
     make_dataset,
     naive_center,
     naive_first_nonfinite,
@@ -59,9 +60,9 @@ def test_validate_matches_loop_oracle(p_b, p_w):
     assert validate_dataset(ds) is ds
     # Plant bad values: a covariate in the fifth cluster (a within one
     # where there is one) and a response in the seventh.
-    ys = [c.y.copy() for c in ds.clusters]
-    xbs = [c.x_b.copy() for c in ds.clusters]
-    xws = [c.x_w.copy() for c in ds.clusters]
+    ys = [c.y.copy() for c in clusters(ds)]
+    xbs = [c.x_b.copy() for c in clusters(ds)]
+    xws = [c.x_w.copy() for c in clusters(ds)]
     ys[6][1] = np.nan
     if p_w:
         xws[4][3, p_w - 1] = np.inf
@@ -83,7 +84,7 @@ def test_centering_matches_loop_oracle(p_b, add_contextual):
     assert out.p_b == p_b + (2 if add_contextual else 0) and out.p_w == 2
     assert np.array_equal(out.y, ds.y)
     assert np.array_equal(out.offsets, ds.offsets)
-    for c, (x_b, x_w) in zip(out.clusters, want):
+    for c, (x_b, x_w) in zip(clusters(out), want):
         assert close(c.x_b, x_b, 1e-13)
         assert close(c.x_w, x_w, 1e-13)
 
@@ -96,7 +97,7 @@ def test_estimate_moments_matches_loop_oracle(p_b, p_w):
     fit = FitResult(omega_hat=om, method="ml", converged=True, iterations=1,
                     score_norm=0.0, boundary_flag=False, loglik_at_opt=0.0,
                     g=ds.g, n=ds.n)
-    mom = estimate_moments(ds, sufficient_stats(ds), fit)
+    mom = estimate_moments(ds, fit)
     got = (mom.mu3_alpha, mom.mu4_alpha, mom.mu3_e, mom.mu4_e)
     assert close(got, naive_moments(ds, om), 1e-12)
 
@@ -117,4 +118,4 @@ def test_read_csv_interleaved_labels(tmp_path):
     assert ds.y.tolist() == [1.0, 3.0, 6.0, 2.0, 5.0, 4.0]
     assert ds.x_w.tolist() == [[0.1], [0.3], [0.6], [0.2], [0.5], [0.4]]
     assert ds.x_b.tolist() == [[5.0], [6.0], [7.0]]
-    assert [c.y.tolist() for c in ds.clusters] == [[1.0, 3.0, 6.0], [2.0, 5.0], [4.0]]
+    assert [c.y.tolist() for c in clusters(ds)] == [[1.0, 3.0, 6.0], [2.0, 5.0], [4.0]]

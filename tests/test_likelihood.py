@@ -17,23 +17,26 @@ from nerm.likelihood import (
     score,
     score_jacobian,
 )
-from nerm.model import Cluster, ClusteredDataset, ParameterVector, sufficient_stats
+from nerm.model import ParameterVector, sufficient_stats
 
 from .helpers import (
+    Cluster,
     close,
+    clusters,
     dense_mvn_loglik,
     fd_gradient,
     fd_jacobian,
     make_dataset,
+    pack,
     random_dataset,
     random_omega,
     score_jacobian_rows,
 )
 
 
-def _loglik_of_flat(ds, stats, p_b, p_w):
+def _loglik_of_flat(stats, p_b, p_w):
     def f(flat):
-        return log_likelihood(ds, stats, ParameterVector.from_flat(flat, p_b, p_w))
+        return log_likelihood(stats, ParameterVector.from_flat(flat, p_b, p_w))
     return f
 
 
@@ -48,7 +51,7 @@ def test_loglik_single_pair_at_unit_variances():
     ds = make_dataset([[0.0, 0.0]])
     st = sufficient_stats(ds)
     om = ParameterVector(1.0, [], 1.0, [], 1.0)
-    assert log_likelihood(ds, st, om) == pytest.approx(
+    assert log_likelihood(st, om) == pytest.approx(
         0.5 * math.log(2.0 / 3.0) - 1.0 / 3.0, abs=1e-14)
 
 
@@ -57,7 +60,7 @@ def test_loglik_singleton_cluster_zero_case():
     ds = make_dataset([[3.0]])
     st = sufficient_stats(ds)
     om = ParameterVector(3.0, [], 1.0, [], 1.0)
-    assert log_likelihood(ds, st, om) == pytest.approx(0.5 * math.log(0.5), abs=1e-14)
+    assert log_likelihood(st, om) == pytest.approx(0.5 * math.log(0.5), abs=1e-14)
 
 
 def test_score_balanced_means_cancel():
@@ -65,15 +68,15 @@ def test_score_balanced_means_cancel():
     ds = make_dataset([[1.0, 1.0], [-1.0, -1.0]])
     st = sufficient_stats(ds)
     om = ParameterVector(0.0, [], 1.0, [], 1.0)
-    assert score(ds, st, om).l_beta0 == pytest.approx(0.0, abs=1e-14)
+    assert score(st, om)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_jacobian_beta0_cell_is_minus_tau_sum():
     ds = make_dataset([[1.0], [2.0]])
     st = sufficient_stats(ds)
     om = ParameterVector(0.0, [], 1.0, [], 1.0)   # tau = 1/2 each
-    J = score_jacobian(ds, st, om)
-    assert J.matrix[0, 0] == pytest.approx(-1.0, abs=1e-14)
+    J = score_jacobian(st, om)
+    assert J[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +93,7 @@ def test_loglik_differences_match_dense_mvn():
         st = sufficient_stats(ds)
         om1 = random_omega(rng, ds.p_b, ds.p_w)
         om2 = random_omega(rng, ds.p_b, ds.p_w)
-        mine = log_likelihood(ds, st, om1) - log_likelihood(ds, st, om2)
+        mine = log_likelihood(st, om1) - log_likelihood(st, om2)
         dense = dense_mvn_loglik(ds, om1) - dense_mvn_loglik(ds, om2)
         assert close(mine, dense, rtol=1e-10)
 
@@ -101,7 +104,7 @@ def test_loglik_offset_is_the_known_constant():
     st = sufficient_stats(ds)
     const = 0.5 * st.n * math.log(2.0 * math.pi) \
         + 0.5 * float(np.sum(np.log(st.m)))
-    diff = log_likelihood(ds, st, om) - dense_mvn_loglik(ds, om)
+    diff = log_likelihood(st, om) - dense_mvn_loglik(ds, om)
     assert diff == pytest.approx(const, rel=1e-12)
 
 
@@ -117,8 +120,8 @@ def test_score_matches_fd_gradient():
                                p_w=int(rng.integers(0, 3)))
         st = sufficient_stats(ds)
         om = random_omega(rng, ds.p_b, ds.p_w)
-        f = _loglik_of_flat(ds, st, ds.p_b, ds.p_w)
-        assert close(score(ds, st, om).flat, fd_gradient(f, om.flatten()),
+        f = _loglik_of_flat(st, ds.p_b, ds.p_w)
+        assert close(score(st, om), fd_gradient(f, om.flatten()),
                      rtol=1e-5)
 
 
@@ -132,10 +135,9 @@ def test_jacobian_matches_fd_of_score():
         om = random_omega(rng, ds.p_b, ds.p_w)
 
         def psi(flat):
-            return score(ds, st, ParameterVector.from_flat(
-                flat, ds.p_b, ds.p_w)).flat
+            return score(st, ParameterVector.from_flat(flat, ds.p_b, ds.p_w))
 
-        J = score_jacobian(ds, st, om).matrix
+        J = score_jacobian(st, om)
         assert close(J, fd_jacobian(psi, om.flatten()), rtol=1e-4)
 
 
@@ -144,21 +146,8 @@ def test_jacobian_is_symmetric():
     ds, _ = random_dataset(rng, g=6, m_max=5, p_b=2, p_w=2)
     st = sufficient_stats(ds)
     om = random_omega(rng, 2, 2)
-    J = score_jacobian(ds, st, om).matrix
+    J = score_jacobian(st, om)
     assert np.allclose(J, J.T, atol=1e-10)
-
-
-def test_jacobian_block_views_tile_the_matrix():
-    rng = np.random.default_rng(26)
-    ds, _ = random_dataset(rng, g=5, m_max=4, p_b=1, p_w=2)
-    st = sufficient_stats(ds)
-    J = score_jacobian(ds, st, random_omega(rng, 1, 2))
-    nb = 1 + 2  # beta0, beta1, sigma_alpha_sq
-    assert J.bb.shape == (nb, nb)
-    assert J.ww.shape == (3, 3)
-    top = np.hstack([J.bb, J.bw])
-    bottom = np.hstack([J.wb, J.ww])
-    assert np.array_equal(np.vstack([top, bottom]), J.matrix)
 
 
 def test_jacobian_rows_picks_row_per_parameter():
@@ -166,11 +155,11 @@ def test_jacobian_rows_picks_row_per_parameter():
     ds, _ = random_dataset(rng, g=5, m_max=5, p_b=1, p_w=1)
     st = sufficient_stats(ds)
     omegas = [random_omega(rng, 1, 1) for _ in range(5)]
-    rows = score_jacobian_rows(ds, st, omegas)
+    rows = score_jacobian_rows(st, omegas)
     for k, om in enumerate(omegas):
-        assert np.allclose(rows[k], score_jacobian(ds, st, om).matrix[k])
+        assert np.allclose(rows[k], score_jacobian(st, om)[k])
     with pytest.raises(ValueError):
-        score_jacobian_rows(ds, st, omegas[:-1])
+        score_jacobian_rows(st, omegas[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +167,17 @@ def test_jacobian_rows_picks_row_per_parameter():
 # ---------------------------------------------------------------------------
 
 def _simulate_on_design(rng, design, omega):
-    clusters = []
-    for c, (xb, xw) in zip(design.clusters, design_covs(design)):
+    records = []
+    for c, (xb, xw) in zip(clusters(design), design_covs(design)):
         alpha = rng.normal(scale=math.sqrt(omega.sigma_alpha_sq))
         e = rng.normal(scale=math.sqrt(omega.sigma_e_sq), size=c.m)
         y = omega.beta0 + xb @ omega.beta1 + xw @ omega.beta2 + alpha + e
-        clusters.append(Cluster(c.id, y, xb, xw))
-    return ClusteredDataset.from_clusters(clusters, p_b=design.p_b, p_w=design.p_w)
+        records.append(Cluster(c.id, y, xb, xw))
+    return pack(records, p_b=design.p_b, p_w=design.p_w)
 
 
 def design_covs(ds):
-    return [(c.x_b, c.x_w) for c in ds.clusters]
+    return [(c.x_b, c.x_w) for c in clusters(ds)]
 
 
 def test_score_has_mean_zero_at_truth():
@@ -199,7 +188,7 @@ def test_score_has_mean_zero_at_truth():
     acc2 = np.zeros(5)
     for _ in range(reps):
         ds = _simulate_on_design(rng, design, om_dot)
-        s = score(ds, sufficient_stats(ds), om_dot).flat
+        s = score(sufficient_stats(ds), om_dot)
         acc += s
         acc2 += s * s
     mean = acc / reps
@@ -220,13 +209,12 @@ def test_expected_jacobian_matches_monte_carlo():
     acc2 = np.zeros((dim, dim))
     for _ in range(reps):
         ds = _simulate_on_design(rng, design, om_dot)
-        J = score_jacobian(ds, sufficient_stats(ds), om_eval).matrix
+        J = score_jacobian(sufficient_stats(ds), om_eval)
         acc += J
         acc2 += J * J
     mean = acc / reps
     se = np.sqrt(np.maximum(acc2 / reps - mean**2, 0.0) / reps)
-    expected = expected_score_jacobian(
-        design, sufficient_stats(design), om_eval, om_dot).matrix
+    expected = expected_score_jacobian(sufficient_stats(design), om_eval, om_dot)
     assert np.all(np.abs(mean - expected) <= 4.0 * se + 1e-10)
 
 
@@ -237,8 +225,8 @@ def test_expected_jacobian_at_truth_equals_observed_information_mean():
     rng = np.random.default_rng(30)
     design, om_dot = random_dataset(rng, g=5, m_max=4, p_b=1, p_w=1, m_min=2)
     st = sufficient_stats(design)
-    E = expected_score_jacobian(design, st, om_dot, om_dot)
+    E = expected_score_jacobian(st, om_dot, om_dot)
     # beta rows never involve the random pieces, so they must match exactly
-    J = score_jacobian(design, st, om_dot)
+    J = score_jacobian(st, om_dot)
     idx = [0, 1, 3]  # beta0, beta1[0], beta2[0]
-    assert np.allclose(E.matrix[np.ix_(idx, idx)], J.matrix[np.ix_(idx, idx)])
+    assert np.allclose(E[np.ix_(idx, idx)], J[np.ix_(idx, idx)])

@@ -14,7 +14,6 @@ from nerm.errors import (
     RaggedCovariates,
 )
 from nerm.model import (
-    Cluster,
     ClusteredDataset,
     ParameterVector,
     center_within_covariates,
@@ -23,7 +22,14 @@ from nerm.model import (
     validate_dataset,
 )
 
-from .helpers import make_dataset, naive_sufficient_stats, random_dataset
+from .helpers import (
+    Cluster,
+    clusters,
+    make_dataset,
+    naive_sufficient_stats,
+    pack,
+    random_dataset,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +93,7 @@ def test_validate_needs_two_clusters():
 
 
 def test_validate_rejects_empty_cluster():
-    ds = ClusteredDataset.from_clusters(
+    ds = pack(
         (Cluster("a", [1.0], np.empty(0), np.empty((1, 0))),
          Cluster("b", np.empty(0), np.empty(0), np.empty((0, 0)))),
         p_b=0, p_w=0)
@@ -97,10 +103,14 @@ def test_validate_rejects_empty_cluster():
 
 def test_validate_rejects_ragged_covariates():
     with pytest.raises(RaggedCovariates):
-        ClusteredDataset.from_clusters(
+        pack(
             (Cluster("a", [1.0, 2.0], [1.0], [[0.1], [0.2]]),
              Cluster("b", [3.0], [1.0, 9.0], [[0.3]])),
             p_b=1, p_w=1)
+    # the flat arrays themselves: three rows of y but two of x_w
+    with pytest.raises(RaggedCovariates):
+        ClusteredDataset(y=[1.0, 2.0, 3.0], x_w=[[0.1], [0.2]], x_b=[[1.0], [1.0]],
+                         offsets=[0, 2, 3], ids=["a", "b"])
 
 
 def test_validate_rejects_nonfinite():
@@ -127,10 +137,10 @@ def test_centering_makes_cluster_means_zero():
     rng = np.random.default_rng(11)
     ds, _ = random_dataset(rng, g=6, m_max=5, p_b=1, p_w=2, m_min=2)
     out = center_within_covariates(ds)
-    for c in out.clusters:
+    for c in clusters(out):
         assert np.allclose(c.x_w.mean(axis=0), 0.0, atol=1e-12)
     # original untouched
-    assert any(abs(c.x_w.mean()) > 1e-6 for c in ds.clusters)
+    assert any(abs(c.x_w.mean()) > 1e-6 for c in clusters(ds))
 
 
 def test_centering_contextual_moves_means_between():
@@ -138,7 +148,7 @@ def test_centering_contextual_moves_means_between():
     ds, _ = random_dataset(rng, g=4, m_max=6, p_b=2, p_w=2, m_min=2)
     out = center_within_covariates(ds, add_contextual=True)
     assert out.p_b == 4 and out.p_w == 2
-    for before, after in zip(ds.clusters, out.clusters):
+    for before, after in zip(clusters(ds), clusters(out)):
         assert np.allclose(after.x_b[:2], before.x_b)
         assert np.allclose(after.x_b[2:], before.x_w.mean(axis=0))
 
@@ -182,7 +192,7 @@ def test_sufficient_stats_permutation_invariant():
     rng = np.random.default_rng(6)
     ds, _ = random_dataset(rng, g=5, m_max=6, p_b=1, p_w=1)
     perm = rng.permutation(ds.g)
-    ds2 = ClusteredDataset.from_clusters(tuple(ds.clusters[k] for k in perm),
+    ds2 = pack(tuple(clusters(ds)[k] for k in perm),
                                          p_b=ds.p_b, p_w=ds.p_w)
     a, b = sufficient_stats(ds), sufficient_stats(ds2)
     assert np.isclose(a.S_w_y, b.S_w_y)

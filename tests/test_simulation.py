@@ -34,6 +34,8 @@ from nerm.simulation import (
 )
 from nerm.simulation import _diagnose_ebar
 
+from .helpers import clusters
+
 
 def _plain_config(**kw):
     base = dict(
@@ -155,14 +157,14 @@ def test_generate_dataset_is_deterministic():
     cfg = _plain_config()
     a = generate_dataset(cfg, replicate_index=3)
     b = generate_dataset(cfg, replicate_index=3)
-    for ca, cb in zip(a.clusters, b.clusters):
+    for ca, cb in zip(clusters(a), clusters(b)):
         assert np.array_equal(ca.y, cb.y)
         assert np.array_equal(ca.x_b, cb.x_b)
         assert np.array_equal(ca.x_w, cb.x_w)
     c = generate_dataset(cfg, replicate_index=4)
-    assert not np.array_equal(a.clusters[0].y, c.clusters[0].y)
+    assert not np.array_equal(clusters(a)[0].y, clusters(c)[0].y)
     d = generate_dataset(_plain_config(seed=100), replicate_index=3)
-    assert not np.array_equal(a.clusters[0].y, d.clusters[0].y)
+    assert not np.array_equal(clusters(a)[0].y, clusters(d)[0].y)
 
 
 def test_generate_dataset_shapes_and_sizes():
@@ -177,7 +179,7 @@ def test_degenerate_effects_reproduce_the_mean_surface():
     cfg = _plain_config(alpha_dist=Degenerate(), e_dist=Degenerate())
     ds = generate_dataset(cfg)
     om = cfg.true_omega
-    for c in ds.clusters:
+    for c in clusters(ds):
         mean = om.beta0 + float(c.x_b @ om.beta1) + c.x_w @ om.beta2
         assert np.allclose(c.y, mean, atol=1e-12)
 
@@ -186,8 +188,8 @@ def test_generated_variances_track_the_truth():
     om = ParameterVector(0.0, [], 0.7, [], 1.9)
     cfg = SimConfig(g=4000, cluster_sizes=2, true_omega=om, seed=5)
     ds = generate_dataset(cfg)
-    ybar = np.array([c.y.mean() for c in ds.clusters])
-    within = np.concatenate([c.y - c.y.mean() for c in ds.clusters])
+    ybar = np.array([c.y.mean() for c in clusters(ds)])
+    within = np.concatenate([c.y - c.y.mean() for c in clusters(ds)])
     # Var(ybar) = sa + se/2; within deviations have variance se/2 each
     assert np.var(ybar) == pytest.approx(0.7 + 1.9 / 2, rel=0.1)
     assert 2.0 * np.var(within) == pytest.approx(1.9, rel=0.1)
@@ -204,9 +206,9 @@ def test_fixed_covariates_pass_through():
     ds2 = generate_dataset(cfg, 1)
     for ds in (ds1, ds2):
         assert np.array_equal(ds.x_b, x_b)
-        for c, w in zip(ds.clusters, x_w):
+        for c, w in zip(clusters(ds), x_w):
             assert np.array_equal(c.x_w, w)
-    assert not np.array_equal(ds1.clusters[0].y, ds2.clusters[0].y)
+    assert not np.array_equal(clusters(ds1)[0].y, clusters(ds2)[0].y)
 
 
 # ---------------------------------------------------------------------------
