@@ -28,6 +28,7 @@ from .model import (
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
+    assemble,
     center_within_covariates,
     parameter_layout,
     sufficient_stats,
@@ -49,12 +50,10 @@ from .estimation import (
     reml_criterion,
 )
 from .asymptotics import (
-    AsymptoticCovariance,
     ConfidenceInterval,
     CovariateLimits,
     InfluencePoint,
     MomentEstimates,
-    NormalizationK,
     confidence_intervals,
     estimate_moments,
     influence,
@@ -63,6 +62,7 @@ from .asymptotics import (
     matrix_Bn,
     matrix_C,
     normal_quantile,
+    normalization,
 )
 from .simulation import (
     CenteredGamma,

@@ -20,14 +20,15 @@ The finite-sample analogue B_n (the normalized negative expected score
 derivative at the truth for the data at hand) converges to B; it is exposed
 separately so the convergence can be probed directly.
 
-Interval notes: coefficients get plain Wald intervals driven by the
-relevant diagonal of C with plug-in moment estimates; the variance
-components get intervals built on the log scale of the standard deviation
-and back-transformed, which keeps the endpoints positive.  The beta0 and
-sigma_e_sq intervals follow the same recipe by extension and are tagged as
-such.  If a plug-in fourth moment falls below the squared variance estimate
-the variance-of-variance estimate would be negative; the interval collapses
-to zero width at the point estimate and is flagged instead.
+Intervals follow one rule over v = diag(C) / K, with C evaluated at the
+fitted variances and plug-in moment estimates: a coefficient gets
+est +- z sqrt(v), a variance gets est exp(-+ z sqrt(v) / est), the Wald
+interval for the log standard deviation squared back, so its endpoints stay
+positive.  The beta0 and sigma_e_sq intervals extend the paper's
+construction and are tagged as such.  A plug-in fourth moment at or below
+the squared variance estimate makes the variance's diagonal of C
+non-positive; that interval collapses to zero width at the point estimate
+and is flagged instead.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteValue,
     NotPositiveDefinite,
+    RaggedCovariates,
 )
 from .estimation import FitResult
 from .likelihood import expected_score_jacobian
@@ -50,15 +52,16 @@ from .model import (
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
+    assemble,
     parameter_layout,
+    parameter_names,
     sufficient_stats,
 )
 
 __all__ = [
-    "NormalizationK",
+    "normalization",
     "CovariateLimits",
     "MomentEstimates",
-    "AsymptoticCovariance",
     "InfluencePoint",
     "ConfidenceInterval",
     "normal_quantile",
@@ -95,28 +98,9 @@ def normal_quantile(p: float) -> float:
 # containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizationK:
-    """Diagonal normalization K = diag(g, g 1_pb, g, n 1_pw, n)."""
-
-    diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.array(self.diag, dtype=float, copy=True)
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-
-    @classmethod
-    def from_counts(cls, g: int, n: int, p_b: int, p_w: int) -> "NormalizationK":
-        diag = np.concatenate([
-            np.full(1 + p_b, float(g)), [float(g)],
-            np.full(p_w, float(n)), [float(n)],
-        ])
-        return cls(diag)
-
-    @property
-    def sqrt(self) -> np.ndarray:
-        return np.sqrt(self.diag)
+def normalization(g: int, n: int, p_b: int, p_w: int) -> np.ndarray:
+    """Diagonal of the normalization K = diag(g, g 1_pb, g, n 1_pw, n)."""
+    return assemble(p_b, p_w, g, g, g, n, n)
 
 
 def _check_spd(mat: np.ndarray, what: str) -> None:
@@ -193,23 +177,6 @@ class MomentEstimates:
 
 
 @dataclass(frozen=True)
-class AsymptoticCovariance:
-    """Limit covariance C with its between-block ingredients d, d1, D2."""
-
-    C: np.ndarray
-    d: float
-    d1: np.ndarray
-    D2: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("C", "d1", "D2"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "d", float(self.d))
-
-
-@dataclass(frozen=True)
 class InfluencePoint:
     """Ingredients of one observation's influence: its cluster effect,
     residual, between covariates and centered within covariates."""
@@ -235,8 +202,6 @@ class InfluencePoint:
 def _between_pieces(limits: CovariateLimits):
     """d, d1, D2 via the blockwise inverse of [[1, c1'], [c1, C2]]."""
     c1, C2 = limits.c1, limits.C2
-    if limits.p_b == 0:
-        return 1.0, np.empty(0), np.empty((0, 0))
     C2_inv_c1 = np.linalg.solve(C2, c1)
     s = 1.0 - float(c1 @ C2_inv_c1)
     if s <= 0.0:
@@ -289,7 +254,7 @@ def matrix_A(limits: CovariateLimits, theta_dot,
 
 
 def matrix_C(limits: CovariateLimits, theta_dot,
-             moments: MomentEstimates) -> AsymptoticCovariance:
+             moments: MomentEstimates) -> np.ndarray:
     """Sandwich covariance B^-1 A B^-1 assembled blockwise.
 
     The closed form: sigma_alpha_sq [[d, d1'],[d1, D2]] over (beta0, beta1)
@@ -310,7 +275,7 @@ def matrix_C(limits: CovariateLimits, theta_dot,
     if limits.p_w:
         C[i2, i2] = se * np.linalg.inv(limits.C3)
     C[ie, ie] = moments.mu4_e - se * se
-    return AsymptoticCovariance(C=C, d=d, d1=d1, D2=D2)
+    return C
 
 
 def matrix_Bn(stats: SufficientStats, theta_dot) -> np.ndarray:
@@ -323,7 +288,7 @@ def matrix_Bn(stats: SufficientStats, theta_dot) -> np.ndarray:
     omega_dot = ParameterVector(0.0, np.zeros(stats.p_b), theta_dot[0],
                                 np.zeros(stats.p_w), theta_dot[1])
     J = expected_score_jacobian(stats, omega_dot, omega_dot)
-    k = NormalizationK.from_counts(stats.g, stats.n, stats.p_b, stats.p_w).sqrt
+    k = np.sqrt(normalization(stats.g, stats.n, stats.p_b, stats.p_w))
     return -J / np.outer(k, k)
 
 
@@ -351,8 +316,8 @@ def influence(point: InfluencePoint, limits: CovariateLimits,
     else:
         lam_beta2 = np.empty(0)
     lam_se = point.e**2 - se
-    return np.concatenate(([lam_beta0], lam_beta1, [lam_sa],
-                           lam_beta2, [lam_se]))
+    return assemble(limits.p_b, limits.p_w, lam_beta0, lam_beta1, lam_sa,
+                    lam_beta2, lam_se)
 
 
 # ---------------------------------------------------------------------------
@@ -396,30 +361,12 @@ class ConfidenceInterval:
         return bool(self.lower <= value <= self.upper)
 
 
-def _log_scale_interval(name, var_hat, mu4_hat, count, z, level, source):
-    """Variance interval built on the log-sd scale and squared back."""
-    spread = mu4_hat - var_hat * var_hat
-    if spread <= 0.0:
-        return ConfidenceInterval(name, var_hat, var_hat, var_hat,
-                                  level, source, degenerate=True)
-    half = z * math.sqrt(spread) / (2.0 * math.sqrt(count) * var_hat)
-    # A floor-pinned variance makes half astronomically large; the honest
-    # limit of the back-transform is then (0, inf), not an overflow.
-    lo = var_hat * math.exp(-2.0 * half)
-    hi = var_hat * math.exp(2.0 * half) if 2.0 * half < 700.0 else math.inf
-    return ConfidenceInterval(name, var_hat, lo, hi, level, source)
-
-
 def confidence_intervals(fit: FitResult, limits: CovariateLimits,
                          moments: MomentEstimates,
                          gamma: float) -> list[ConfidenceInterval]:
-    """Two-sided 100(1-gamma)% intervals for every model parameter.
-
-    Coefficient intervals are Wald intervals using the relevant diagonal of
-    the sandwich covariance with plug-in pieces; variance intervals use the
-    log-sd scale and are squared back, so they stay positive.  The beta1,
-    beta2 and sigma_alpha_sq constructions are the core ones; beta0 and
-    sigma_e_sq follow by the same logic and are tagged "extension".
+    """Two-sided 100(1-gamma)% intervals for every model parameter, all
+    by the one rule of the module docstring over v = diag(C) / K, with C
+    from :func:`matrix_C` at the fitted variances.
 
     Args:
         fit: fitted model (either method).
@@ -429,37 +376,37 @@ def confidence_intervals(fit: FitResult, limits: CovariateLimits,
         gamma: two-sided miscoverage, in (0, 1).
 
     Returns:
-        Intervals in canonical parameter order; degenerate
-        variance-of-variance cases come back flagged with zero width.
+        Intervals in canonical parameter order, beta0 and sigma_e_sq tagged
+        "extension"; a variance whose diagonal of C is not positive comes
+        back flagged with zero width.
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidConfig(f"gamma must lie in (0, 1), got {gamma!r}")
     om = fit.omega_hat
+    if (limits.p_b, limits.p_w) != (om.p_b, om.p_w):
+        raise RaggedCovariates(f"limits have (p_b, p_w) = ({limits.p_b}, "
+                               f"{limits.p_w}), the fit ({om.p_b}, {om.p_w})")
     z = normal_quantile(1.0 - gamma / 2.0)
     level = 1.0 - gamma
-    g, n = fit.g, fit.n
-    sd_alpha = math.sqrt(om.sigma_alpha_sq)
-    sd_e = math.sqrt(om.sigma_e_sq)
-    d, d1, D2 = _between_pieces(limits)
+    C = matrix_C(limits, om.theta, moments)
+    v = np.diag(C) / normalization(fit.g, fit.n, om.p_b, om.p_w)
+    _, i0, _, ia, _, ie = parameter_layout(om.p_b, om.p_w)
     out: list[ConfidenceInterval] = []
-
-    half = z * sd_alpha * math.sqrt(d) / math.sqrt(g)
-    out.append(ConfidenceInterval("beta0", om.beta0, om.beta0 - half,
-                                  om.beta0 + half, level, "extension"))
-    for k in range(om.p_b):
-        half = z * sd_alpha * math.sqrt(D2[k, k]) / math.sqrt(g)
-        est = float(om.beta1[k])
-        out.append(ConfidenceInterval(f"beta1[{k}]", est, est - half,
-                                      est + half, level, "standard"))
-    out.append(_log_scale_interval("sigma_alpha_sq", om.sigma_alpha_sq,
-                                   moments.mu4_alpha, g, z, level, "standard"))
-    if om.p_w:
-        C3_inv = np.linalg.inv(limits.C3)
-        for r in range(om.p_w):
-            half = z * sd_e * math.sqrt(C3_inv[r, r]) / math.sqrt(n)
-            est = float(om.beta2[r])
-            out.append(ConfidenceInterval(f"beta2[{r}]", est, est - half,
-                                          est + half, level, "standard"))
-    out.append(_log_scale_interval("sigma_e_sq", om.sigma_e_sq,
-                                   moments.mu4_e, n, z, level, "extension"))
+    for k, (name, est) in enumerate(zip(parameter_names(om.p_b, om.p_w),
+                                        om.flatten().tolist())):
+        source = "extension" if k in (i0, ie) else "standard"
+        if k not in (ia, ie):
+            half = z * math.sqrt(v[k])
+            out.append(ConfidenceInterval(name, est, est - half, est + half,
+                                          level, source))
+        elif C[k, k] <= 0.0:
+            out.append(ConfidenceInterval(name, est, est, est, level, source,
+                                          degenerate=True))
+        else:
+            # A floor-pinned variance makes the exponent astronomically
+            # large; the honest limit is then (0, inf), not an overflow.
+            x = z * math.sqrt(v[k]) / est
+            hi = est * math.exp(x) if x < 700.0 else math.inf
+            out.append(ConfidenceInterval(name, est, est * math.exp(-x), hi,
+                                          level, source))
     return out

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -271,18 +272,6 @@ def _fit_dict(fit: FitResult) -> dict:
     }
 
 
-def _interval_dict(ci) -> dict:
-    return {
-        "name": ci.name,
-        "estimate": float(ci.estimate),
-        "lower": float(ci.lower),
-        "upper": float(ci.upper),
-        "level": float(ci.level),
-        "source": ci.source,
-        "degenerate": bool(ci.degenerate),
-    }
-
-
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output:
@@ -340,7 +329,7 @@ def cmd_ci(cfg: RunConfig) -> int:
         cis = confidence_intervals(fit, limits, moments, cfg.gamma)
         results[name] = {
             "fit": _fit_dict(fit),
-            "intervals": [_interval_dict(ci) for ci in cis],
+            "intervals": [asdict(ci) for ci in cis],
         }
         flagged |= fit.boundary_flag or any(ci.degenerate for ci in cis)
     payload = {"command": "ci", "input": cfg.input, "gamma": cfg.gamma,
@@ -483,7 +472,7 @@ def _check_sandwich(rng):
         )
         A = matrix_A(limits, theta, mom)
         B = matrix_B(limits, theta)
-        C = matrix_C(limits, theta, mom).C
+        C = matrix_C(limits, theta, mom)
         sandwich = np.linalg.solve(B, np.linalg.solve(B, A).T)
         worst = max(worst, float(np.max(np.abs(C - sandwich))))
     return worst < 1e-10, f"max absolute deviation {worst:.2e} (tol 1e-10)"
@@ -543,6 +532,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Parser whose namespace holds only the flags given; every default
+    lives in :class:`RunConfig`."""
     parser = argparse.ArgumentParser(
         prog="nerm",
         description="Nested error regression: fitting, intervals, simulation.",
@@ -550,49 +541,49 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    add_parser = functools.partial(sub.add_parser,
+                                   argument_default=argparse.SUPPRESS)
+
     def add_common(p):
         p.add_argument("--output", help="write the JSON report here (default stdout)")
-        p.add_argument("--gamma", type=float, default=0.05,
-                       help="two-sided miscoverage level (default 0.05)")
+        p.add_argument("--gamma", type=float, help="two-sided miscoverage "
+                       f"level (default {RunConfig.gamma})")
 
-    p_fit = sub.add_parser("fit", help="fit a CSV dataset")
-    p_ci = sub.add_parser("ci", help="fit and report confidence intervals")
+    p_fit = add_parser("fit", help="fit a CSV dataset")
+    p_ci = add_parser("ci", help="fit and report confidence intervals")
     for p in (p_fit, p_ci):
         p.add_argument("--input", required=True, help="dataset CSV path")
-        p.add_argument("--method", choices=["ml", "reml", "both"],
-                       default="both")
+        p.add_argument("--method", choices=["ml", "reml", "both"])
         p.add_argument("--center", action="store_true",
                        help="center within covariates at cluster means")
         p.add_argument("--contextual", action="store_true",
                        help="with --center, keep the means as between covariates")
         add_common(p)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
+    p_sim = add_parser("simulate", help="run a Monte Carlo study")
     add_common(p_sim)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--g", type=int, default=50, help="number of clusters")
-    p_sim.add_argument("--m", type=int, default=10, help="cluster size")
-    p_sim.add_argument("--reps", type=int, default=200)
-    p_sim.add_argument("--alpha-dist", default="normal",
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--g", type=int, help="number of clusters")
+    p_sim.add_argument("--m", type=int, help="cluster size")
+    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--alpha-dist",
                        help="normal | t(df) | gamma(shape) | lognormal(sigma)")
-    p_sim.add_argument("--e-dist", default="normal")
-    p_sim.add_argument("--p-b", type=int, default=1)
-    p_sim.add_argument("--p-w", type=int, default=1)
-    p_sim.add_argument("--beta0", type=float, default=0.0)
-    p_sim.add_argument("--beta1", type=float, default=0.5)
-    p_sim.add_argument("--beta2", type=float, default=0.5)
-    p_sim.add_argument("--sigma-alpha-sq", type=float, default=1.0)
-    p_sim.add_argument("--sigma-e-sq", type=float, default=1.0)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--e-dist")
+    p_sim.add_argument("--p-b", type=int)
+    p_sim.add_argument("--p-w", type=int)
+    p_sim.add_argument("--beta0", type=float)
+    p_sim.add_argument("--beta1", type=float)
+    p_sim.add_argument("--beta2", type=float)
+    p_sim.add_argument("--sigma-alpha-sq", type=float)
+    p_sim.add_argument("--sigma-e-sq", type=float)
+    p_sim.add_argument("--workers", type=int)
 
-    sub.add_parser("verify", help="run the built-in cross checks")
+    add_parser("verify", help="run the built-in cross checks")
     return parser
 
 
 def _run_config(ns: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    return RunConfig(**kwargs)
+    return RunConfig(**vars(ns))
 
 
 def main(argv=None) -> int:

@@ -42,6 +42,7 @@ from .errors import (
 __all__ = [
     "ParameterVector",
     "parameter_layout",
+    "assemble",
     "ClusteredDataset",
     "SufficientStats",
     "validate_dataset",
@@ -114,11 +115,9 @@ class ParameterVector:
         return np.concatenate(([self.beta0], self.beta1, self.beta2))
 
     def flatten(self) -> np.ndarray:
-        """Canonical flat layout (beta0, beta1, sigma_alpha_sq, beta2, sigma_e_sq)."""
-        return np.concatenate(
-            ([self.beta0], self.beta1, [self.sigma_alpha_sq],
-             self.beta2, [self.sigma_e_sq])
-        )
+        """Canonical flat layout, see :func:`parameter_layout`."""
+        return assemble(self.p_b, self.p_w, self.beta0, self.beta1,
+                        self.sigma_alpha_sq, self.beta2, self.sigma_e_sq)
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, p_b: int, p_w: int) -> "ParameterVector":
@@ -143,6 +142,18 @@ def parameter_layout(p_b: int, p_w: int):
     are slices and the others integers."""
     dim = p_b + p_w + 3
     return dim, 0, slice(1, 1 + p_b), 1 + p_b, slice(2 + p_b, 2 + p_b + p_w), dim - 1
+
+
+def assemble(p_b: int, p_w: int, beta0, beta1, sigma_alpha_sq, beta2,
+             sigma_e_sq, dtype=float) -> np.ndarray:
+    """Flat array with the five parameter blocks at their positions in
+    :func:`parameter_layout`; a scalar given for beta1 or beta2 fills the
+    whole block."""
+    dim, i0, i1, ia, i2, ie = parameter_layout(p_b, p_w)
+    out = np.empty(dim, dtype=dtype)
+    out[i0], out[i1], out[ia], out[i2], out[ie] = \
+        beta0, beta1, sigma_alpha_sq, beta2, sigma_e_sq
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +377,7 @@ def tau(theta: tuple[float, float], m_i) -> np.ndarray | float:
 
 
 def parameter_names(p_b: int, p_w: int) -> list[str]:
-    """Names in the canonical order (beta0, beta1, sigma_alpha_sq, beta2, sigma_e_sq)."""
-    return (["beta0"] + [f"beta1[{k}]" for k in range(p_b)] + ["sigma_alpha_sq"]
-            + [f"beta2[{r}]" for r in range(p_w)] + ["sigma_e_sq"])
+    """Names in the canonical order, see :func:`parameter_layout`."""
+    return assemble(p_b, p_w, "beta0", [f"beta1[{k}]" for k in range(p_b)],
+                    "sigma_alpha_sq", [f"beta2[{r}]" for r in range(p_w)],
+                    "sigma_e_sq", dtype=object).tolist()

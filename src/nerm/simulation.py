@@ -27,9 +27,9 @@ import numpy as np
 
 from .asymptotics import (
     CovariateLimits,
-    NormalizationK,
     confidence_intervals,
     estimate_moments,
+    normalization,
 )
 from .errors import (
     AllReplicatesFailed,
@@ -95,9 +95,10 @@ class ScaledT:
     df: float
 
     def __post_init__(self):
-        if not (self.df > 4.0):
+        if not (4.0 < self.df < math.inf):
             raise InvalidDistribution(
-                f"scaled-t needs df > 4 for finite fourth moments, got {self.df}"
+                f"scaled-t needs a finite df > 4 for finite fourth moments, "
+                f"got {self.df}"
             )
         object.__setattr__(self, "df", float(self.df))
 
@@ -122,8 +123,9 @@ class CenteredGamma:
     shape: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0):
-            raise InvalidDistribution(f"gamma shape must be > 0, got {self.shape}")
+        if not (0.0 < self.shape < math.inf):
+            raise InvalidDistribution(
+                f"gamma shape must be finite and > 0, got {self.shape}")
         object.__setattr__(self, "shape", float(self.shape))
 
     def sample(self, rng, size, variance):
@@ -149,11 +151,17 @@ class CenteredLogNormal:
     sigma_log: float
 
     def __post_init__(self):
-        if not (self.sigma_log > 0.0):
-            raise InvalidDistribution(
-                f"lognormal sigma must be > 0, got {self.sigma_log}"
-            )
         object.__setattr__(self, "sigma_log", float(self.sigma_log))
+        try:  # the unit-variance law must exist in doubles
+            ok = self.sigma_log > 0.0 \
+                and math.isfinite(self._mu(1.0) + self.moment4(1.0))
+        except (ArithmeticError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidDistribution(
+                f"lognormal sigma must lie in about (1.1e-8, 13.3) for its "
+                f"moments to be finite doubles, got {self.sigma_log}"
+            )
 
     def _mu(self, variance):
         w = math.exp(self.sigma_log ** 2)
@@ -437,20 +445,18 @@ def _run_one(cfg: SimConfig, index: int):
         ml = fit_ml(ds)
         reml = fit_reml(ds)
         true_flat = cfg.true_omega.flatten()
-        k_half = NormalizationK.from_counts(ds.g, ds.n, ds.p_b, ds.p_w).sqrt
-        norm_err = k_half * (ml.omega_hat.flatten() - true_flat)
-        gap = float(np.linalg.norm(
-            k_half * (reml.omega_hat.flatten() - ml.omega_hat.flatten())))
+        om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()
+        k_half = np.sqrt(normalization(ds.g, ds.n, ds.p_b, ds.p_w))
+        norm_err = k_half * (om_ml - true_flat)
+        gap = float(np.linalg.norm(k_half * (om_reml - om_ml)))
         limits = CovariateLimits.from_dataset(ds)
         moments = estimate_moments(ds, ml)
         cis = confidence_intervals(ml, limits, moments, cfg.gamma)
-        truth = dict(zip(parameter_names(ds.p_b, ds.p_w), true_flat))
-        hits = {ci.name: ci.contains(truth[ci.name]) for ci in cis}
+        hits = {ci.name: ci.contains(t) for ci, t in zip(cis, true_flat)}
         rep = ReplicateResult(
             index=index, ok=True,
             boundary=bool(ml.boundary_flag or reml.boundary_flag),
-            omega_ml=ml.omega_hat.flatten(),
-            omega_reml=reml.omega_hat.flatten(),
+            omega_ml=om_ml, omega_reml=om_reml,
             normalized_error=norm_err, ci_hits=hits, ml_reml_gap=gap,
         )
     except NermError as exc:
@@ -554,18 +560,23 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
 
     Args:
         cfg: study configuration.
-        max_workers: optional process pool size; results are identical for
+        max_workers: largest process pool size, at least 1; the pool never
+            exceeds the number of replicates, and results are identical for
             any value because every replicate owns its seed-derived stream.
 
     Returns:
         MonteCarloSummary over all replicates.
 
     Raises:
+        InvalidConfig: max_workers is below 1.
         AllReplicatesFailed: not a single replicate produced a fit.
     """
+    if max_workers < 1:
+        raise InvalidConfig(f"max_workers must be >= 1, got {max_workers}")
     indices = range(cfg.replications)
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, cfg.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [cfg] * cfg.replications,
                                     indices, chunksize=16))
     else:
@@ -575,11 +586,8 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
     power_sums: dict = {}
     for _, sums in results:
         for m, (vec, cnt) in sums.items():
-            if m in power_sums:
-                old_vec, old_cnt = power_sums[m]
-                power_sums[m] = (old_vec + vec, old_cnt + cnt)
-            else:
-                power_sums[m] = (vec.copy(), cnt)
+            old_vec, old_cnt = power_sums.get(m, (0.0, 0))
+            power_sums[m] = (old_vec + vec, old_cnt + cnt)
 
     ok = [r for r in reps if r.ok]
     if not ok:

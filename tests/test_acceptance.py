@@ -245,7 +245,7 @@ def test_criterion_04_sandwich_identity(capsys):
             mu3_e=float(rng.normal()) * theta[1] ** 1.5,
             mu4_e=theta[1] ** 2 * float(rng.uniform(1.5, 6.0)),
         )
-        closed = matrix_C(limits, theta, moments).C
+        closed = matrix_C(limits, theta, moments)
         B = matrix_B(limits, theta)
         Binv = np.linalg.inv(B)
         brute = Binv @ matrix_A(limits, theta, moments) @ Binv

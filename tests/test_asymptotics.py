@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from nerm.asymptotics import (
-    AsymptoticCovariance,
     ConfidenceInterval,
     CovariateLimits,
     InfluencePoint,
     MomentEstimates,
-    NormalizationK,
     confidence_intervals,
     estimate_moments,
     influence,
@@ -26,11 +24,22 @@ from nerm.asymptotics import (
     matrix_Bn,
     matrix_C,
     normal_quantile,
+    normalization,
 )
-from nerm.errors import DegenerateBetweenDesign, InvalidConfig, NotPositiveDefinite
+from nerm.errors import (
+    DegenerateBetweenDesign,
+    InvalidConfig,
+    NotPositiveDefinite,
+    RaggedCovariates,
+)
 from nerm.estimation import FitResult, fit_ml
 from nerm.likelihood import expected_score_jacobian
-from nerm.model import ParameterVector, sufficient_stats
+from nerm.model import (
+    ParameterVector,
+    parameter_layout,
+    parameter_names,
+    sufficient_stats,
+)
 
 from .helpers import make_dataset, random_dataset
 
@@ -109,8 +118,8 @@ def test_no_covariate_matrices_by_hand():
     moments = MomentEstimates.normal_theory(1.0, 1.0)
     assert np.allclose(matrix_A(limits, theta, moments), B)
     C = matrix_C(limits, theta, moments)
-    assert np.allclose(C.C, np.diag([1.0, 2.0, 2.0]))
-    assert C.d == pytest.approx(1.0)
+    assert np.allclose(C, np.diag([1.0, 2.0, 2.0]))
+    assert C[0, 0] / theta[0] == pytest.approx(1.0)   # d
 
 
 def test_A_equals_B_exactly_under_normal_moments():
@@ -135,7 +144,7 @@ def test_sandwich_identity_holds_numerically():
             mu4_e=theta[1]**2 * rng.uniform(1.1, 6.0))
         A = matrix_A(limits, theta, moments)
         B = matrix_B(limits, theta)
-        C = matrix_C(limits, theta, moments).C
+        C = matrix_C(limits, theta, moments)
         sandwich = np.linalg.solve(B, np.linalg.solve(B, A).T)
         assert np.max(np.abs(C - sandwich)) < 1e-10
 
@@ -143,10 +152,12 @@ def test_sandwich_identity_holds_numerically():
 def test_centered_between_design_gives_plain_inverse():
     C2 = np.array([[2.0, 0.3], [0.3, 1.0]])
     limits = CovariateLimits(c1=np.zeros(2), C2=C2, C3=np.eye(1))
-    C = matrix_C(limits, (1.0, 1.0), MomentEstimates.normal_theory(1.0, 1.0))
-    assert C.d == pytest.approx(1.0)
-    assert np.allclose(C.d1, 0.0)
-    assert np.allclose(C.D2, np.linalg.inv(C2))
+    sa = 1.0
+    C = matrix_C(limits, (sa, 1.0), MomentEstimates.normal_theory(sa, 1.0))
+    _, i0, i1, _, _, _ = parameter_layout(2, 1)
+    assert C[i0, i0] / sa == pytest.approx(1.0)                    # d
+    assert np.allclose(C[i0, i1] / sa, 0.0)                        # d1
+    assert np.allclose(C[i1, i1] / sa, np.linalg.inv(C2))          # D2
 
 
 def test_constant_between_covariate_is_degenerate():
@@ -187,8 +198,7 @@ def test_Bn_is_normalized_expected_score_derivative():
         st = sufficient_stats(ds)
         Bn = matrix_Bn(st, om_dot.theta)
         EJ = expected_score_jacobian(st, om_dot, om_dot)
-        k_inv = 1.0 / NormalizationK.from_counts(
-            st.g, st.n, ds.p_b, ds.p_w).sqrt
+        k_inv = 1.0 / np.sqrt(normalization(st.g, st.n, ds.p_b, ds.p_w))
         assert np.allclose(Bn, -(k_inv[:, None] * EJ * k_inv[None, :]),
                            atol=1e-12)
 
@@ -379,6 +389,66 @@ def test_smaller_gamma_means_wider_intervals():
         assert (a.upper - a.lower) < (b.upper - b.lower)
 
 
+def test_every_interval_reads_diag_C_over_K():
+    # coefficients: half-width z sqrt(C_kk / K_k); variances: the same rule
+    # on the log-sd scale, whose delta-method sd is sqrt(C_kk / K_k) / (2 est)
+    rng = np.random.default_rng(48)
+    z = normal_quantile(0.975)
+    kinds = set()
+    for case in range(45):
+        p_b, p_w = case % 3, (case // 3) % 3
+        limits = _random_limits(rng, p_b, p_w)
+        sa, se = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+        mu4_alpha = sa**2 * rng.uniform(1.1, 6.0)
+        if case == 9:
+            mu4_alpha = 0.5 * sa**2       # negative variance of variance
+        if case == 18:
+            sa, mu4_alpha = 1e-8 * se, 3.0   # pinned at the variance floor
+        moments = MomentEstimates(rng.normal(), mu4_alpha, rng.normal(),
+                                  se**2 * rng.uniform(1.1, 6.0))
+        om = ParameterVector(rng.normal(), rng.normal(size=p_b), sa,
+                             rng.normal(size=p_w), se)
+        g = int(rng.integers(2, 400))
+        n = g + int(rng.integers(1, 4000))
+        cis = confidence_intervals(_fake_fit(om, g, n), limits, moments, 0.05)
+        v = np.diag(matrix_C(limits, om.theta, moments)) \
+            / normalization(g, n, p_b, p_w)
+        _, i0, _, ia, _, ie = parameter_layout(p_b, p_w)
+        assert [c.name for c in cis] == parameter_names(p_b, p_w)
+        for k, (ci, est) in enumerate(zip(cis, om.flatten())):
+            assert ci.estimate == est
+            assert ci.source == ("extension" if k in (i0, ie) else "standard")
+            assert ci.degenerate == (k in (ia, ie) and v[k] <= 0.0)
+            if k not in (ia, ie):
+                kinds.add("coefficient")
+                assert (ci.upper - ci.lower) / 2.0 == pytest.approx(
+                    z * math.sqrt(v[k]), rel=1e-12)
+                assert (ci.upper + ci.lower) / 2.0 == pytest.approx(
+                    est, rel=1e-12, abs=1e-12 * z * math.sqrt(v[k]))
+            elif ci.degenerate:
+                kinds.add("degenerate")
+                assert ci.lower == ci.upper == est
+            elif math.isinf(ci.upper):
+                kinds.add("infinite")
+                assert z * math.sqrt(v[k]) / est >= 700.0
+                assert 0.0 <= ci.lower < est
+            else:
+                kinds.add("variance")
+                log_lo, log_hi = math.log(ci.lower), math.log(ci.upper)
+                assert (log_hi - log_lo) / 4.0 == pytest.approx(
+                    z * math.sqrt(v[k]) / (2.0 * est), rel=1e-12)
+                assert (log_hi + log_lo) / 2.0 == pytest.approx(
+                    math.log(est), abs=1e-12 * (1.0 + abs(math.log(est))))
+    assert kinds == {"coefficient", "degenerate", "infinite", "variance"}
+
+
+def test_interval_rejects_limits_of_another_design():
+    limits = CovariateLimits(c1=[0.0], C2=[[1.0]], C3=np.empty((0, 0)))
+    moments = MomentEstimates.normal_theory(1.0, 4.0)
+    with pytest.raises(RaggedCovariates):   # fit has p_b = 0, p_w = 1
+        confidence_intervals(_interval_fixture_fit(), limits, moments, 0.05)
+
+
 def test_interval_rejects_bad_gamma():
     fit = _interval_fixture_fit()
     limits, moments = _interval_fixture_pieces()
@@ -388,6 +458,7 @@ def test_interval_rejects_bad_gamma():
 
 
 def test_normalization_layout():
-    K = NormalizationK.from_counts(g=9, n=100, p_b=2, p_w=1)
-    assert K.diag.tolist() == [9.0, 9.0, 9.0, 9.0, 100.0, 100.0]
-    assert np.allclose(K.sqrt, np.sqrt(K.diag))
+    K = normalization(g=9, n=100, p_b=2, p_w=1)
+    assert K.tolist() == [9.0, 9.0, 9.0, 9.0, 100.0, 100.0]
+    _, _, _, ia, _, ie = parameter_layout(2, 1)
+    assert np.allclose(np.sqrt(K)[[ia, ie]], [3.0, 10.0])

@@ -12,6 +12,8 @@ from nerm.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
     RunConfig,
+    _build_parser,
+    _run_config,
     main,
     read_dataset_csv,
     write_dataset_csv,
@@ -162,6 +164,9 @@ def test_round_trip_random_dataset(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_run_config_validation():
+    # the parser passes on only the flags given; RunConfig holds the defaults
+    assert _run_config(_build_parser().parse_args(["simulate"])) \
+        == RunConfig(command="simulate")
     with pytest.raises(InvalidConfig):
         RunConfig(command="fit", method="bogus")
     with pytest.raises(InvalidConfig):
@@ -332,7 +337,9 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys):
     assert main(["simulate", "--g", "1"]) == EXIT_FAIL
     assert main(["simulate", "--p-b", "-1"]) == EXIT_FAIL
     assert main(["simulate", "--p-w", "-1"]) == EXIT_FAIL
-    assert capsys.readouterr().err.count("error:") == 5
+    assert main(["simulate", "--workers", "0"]) == EXIT_FAIL
+    assert main(["simulate", "--workers", "-1"]) == EXIT_FAIL
+    assert capsys.readouterr().err.count("error:") == 7
 
 
 # ---------------------------------------------------------------------------

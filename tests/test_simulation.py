@@ -60,10 +60,15 @@ def test_parse_distribution_tags():
     assert parse_distribution("t(7)") == ScaledT(7.0)
     assert parse_distribution("gamma(2)") == CenteredGamma(2.0)
     assert parse_distribution(" LogNormal(0.5) ") == CenteredLogNormal(0.5)
+    # the largest sigma whose fourth moment is still a finite double
+    assert parse_distribution("lognormal(13.3)") == CenteredLogNormal(13.3)
 
 
 @pytest.mark.parametrize("tag", ["t(3)", "t(4)", "gamma(0)", "gamma(-1)",
-                                 "lognormal(0)", "cauchy", "t(seven)", ""])
+                                 "lognormal(0)", "cauchy", "t(seven)", "",
+                                 "lognormal(14)", "lognormal(30)",
+                                 "lognormal(inf)", "lognormal(1e-9)",
+                                 "t(inf)", "gamma(inf)"])
 def test_parse_distribution_rejects(tag):
     with pytest.raises(InvalidDistribution):
         parse_distribution(tag)
@@ -247,6 +252,37 @@ def test_run_replications_deterministic_and_worker_independent():
             assert a.index == b.index
             assert np.array_equal(a.omega_ml, b.omega_ml)
             assert np.array_equal(a.omega_reml, b.omega_reml)
+
+
+def test_pool_is_never_larger_than_the_replicates(monkeypatch):
+    sizes = []
+
+    class InlinePool:   # records the size asked for, maps in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("nerm.simulation.ProcessPoolExecutor", InlinePool)
+    cfg = _plain_config(replications=3)
+    alone = run_replications(cfg)
+    pooled = run_replications(cfg, max_workers=500)
+    assert sizes == [3]
+    for a, b in zip(alone.replicates, pooled.replicates):
+        assert np.array_equal(a.omega_ml, b.omega_ml)
+    run_replications(cfg, max_workers=2)
+    run_replications(_plain_config(replications=1), max_workers=8)
+    assert sizes == [3, 2]   # one replicate runs without a pool
+    for bad in (0, -2):
+        with pytest.raises(InvalidConfig):
+            run_replications(cfg, max_workers=bad)
 
 
 def test_run_replications_with_one_replicate():
