@@ -33,7 +33,6 @@ from .model import (
     parameter_layout,
     sufficient_stats,
     tau,
-    validate_dataset,
 )
 from .likelihood import (
     expected_score_jacobian,
@@ -52,7 +51,6 @@ from .estimation import (
 from .asymptotics import (
     ConfidenceInterval,
     CovariateLimits,
-    InfluencePoint,
     MomentEstimates,
     confidence_intervals,
     estimate_moments,

@@ -62,7 +62,6 @@ __all__ = [
     "normalization",
     "CovariateLimits",
     "MomentEstimates",
-    "InfluencePoint",
     "ConfidenceInterval",
     "normal_quantile",
     "matrix_A",
@@ -176,25 +175,6 @@ class MomentEstimates:
         return cls(0.0, 3.0 * sigma_alpha_sq**2, 0.0, 3.0 * sigma_e_sq**2)
 
 
-@dataclass(frozen=True)
-class InfluencePoint:
-    """Ingredients of one observation's influence: its cluster effect,
-    residual, between covariates and centered within covariates."""
-
-    alpha: float
-    e: float
-    x_b: np.ndarray
-    x_w_dev: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "e", float(self.e))
-        object.__setattr__(self, "x_b",
-                           np.atleast_1d(np.asarray(self.x_b, dtype=float)))
-        object.__setattr__(self, "x_w_dev",
-                           np.atleast_1d(np.asarray(self.x_w_dev, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # limit matrices
 # ---------------------------------------------------------------------------
@@ -296,9 +276,11 @@ def matrix_Bn(stats: SufficientStats, theta_dot) -> np.ndarray:
 # influence functions
 # ---------------------------------------------------------------------------
 
-def influence(point: InfluencePoint, limits: CovariateLimits,
+def influence(alpha: float, e: float, x_b, x_w_dev, limits: CovariateLimits,
               theta_dot) -> np.ndarray:
-    """Influence of a single observation on the normalized estimator.
+    """Influence of a single observation on the normalized estimator, from
+    its cluster effect ``alpha``, residual ``e``, between covariates ``x_b``
+    and centered within covariates ``x_w_dev``.
 
     Returns the vector (lam_beta0, lam_beta1, lam_sigma_alpha_sq, lam_beta2,
     lam_sigma_e_sq): the cluster-effect terms scaled by the between design,
@@ -308,14 +290,14 @@ def influence(point: InfluencePoint, limits: CovariateLimits,
     """
     sa, se = float(theta_dot[0]), float(theta_dot[1])
     d, d1, D2 = _between_pieces(limits)
-    lam_beta0 = (d + float(d1 @ point.x_b)) * point.alpha
-    lam_beta1 = (d1 + D2 @ point.x_b) * point.alpha
-    lam_sa = point.alpha**2 - sa
+    lam_beta0 = (d + float(d1 @ x_b)) * alpha
+    lam_beta1 = (d1 + D2 @ x_b) * alpha
+    lam_sa = alpha**2 - sa
     if limits.p_w:
-        lam_beta2 = np.linalg.solve(limits.C3, point.x_w_dev) * point.e
+        lam_beta2 = np.linalg.solve(limits.C3, x_w_dev) * e
     else:
         lam_beta2 = np.empty(0)
-    lam_se = point.e**2 - se
+    lam_se = e**2 - se
     return assemble(limits.p_b, limits.p_w, lam_beta0, lam_beta1, lam_sa,
                     lam_beta2, lam_se)
 

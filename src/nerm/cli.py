@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 completed with flags raised (variance on the
 boundary, degenerate interval), 1 failure (bad input, singular design).
 
 All real numbers are written with 17 significant digits, which round-trips
-IEEE doubles exactly.
+IEEE doubles exactly; in JSON output a non-finite number is written as
+``null``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .model import (
     center_within_covariates,
     parameter_names,
     sufficient_stats,
-    validate_dataset,
 )
 from .simulation import (
     MonteCarloSummary,
@@ -110,6 +110,8 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
         ParseError: unreadable file, missing columns, a row whose field
             count differs from the header's, non-numeric fields, or a
             between covariate that varies inside a cluster.
+        NonFiniteValue: NaN or infinity in a response or covariate (see
+            :class:`ClusteredDataset`).
     """
     try:
         fh = open(path, newline="")
@@ -272,8 +274,19 @@ def _fit_dict(fit: FitResult) -> dict:
     }
 
 
+def _json_safe(x):
+    """``x`` with every non-finite float replaced by None, JSON's null."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_safe(v) for v in x]
+    return x
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_json_safe(payload), indent=2, allow_nan=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -285,7 +298,6 @@ def _load_input(cfg: RunConfig) -> ClusteredDataset:
     if not cfg.input:
         raise InvalidConfig("--input is required for this command")
     ds = read_dataset_csv(cfg.input)
-    validate_dataset(ds)
     if cfg.center:
         ds = center_within_covariates(ds, add_contextual=cfg.contextual)
     return ds
@@ -320,11 +332,12 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_ci(cfg: RunConfig) -> int:
     """Fit, then emit confidence intervals for every parameter."""
     ds = _load_input(cfg)
+    # fit first: a dataset a fit rejects must fail with the fit's error
+    fits = {name: fn(ds) for name, fn in _methods(cfg)}
     limits = CovariateLimits.from_dataset(ds)
     results = {}
     flagged = False
-    for name, fn in _methods(cfg):
-        fit = fn(ds)
+    for name, fit in fits.items():
         moments = estimate_moments(ds, fit)
         cis = confidence_intervals(fit, limits, moments, cfg.gamma)
         results[name] = {

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWithinDesign, SingularDelta
+from .errors import DegenerateWithinDesign, EmptyDataset, SingularDelta
 from .likelihood import log_likelihood, score
 from .model import (
     ClusteredDataset,
@@ -56,7 +56,6 @@ from .model import (
     parameter_layout,
     sufficient_stats,
     tau,
-    validate_dataset,
 )
 
 __all__ = [
@@ -304,7 +303,13 @@ def _within_beta2(stats: SufficientStats) -> np.ndarray:
 
 
 def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
-    validate_dataset(ds)
+    if ds.g < 2:
+        raise EmptyDataset(f"need at least 2 clusters, got {ds.g}")
+    if ds.n <= ds.g:
+        raise DegenerateWithinDesign(
+            "every cluster is a singleton (n == g); the residual variance "
+            "is not identified"
+        )
     stats = sufficient_stats(ds)
     beta2 = _within_beta2(stats)
     # Q_min is zero to rounding when it cancels against S_w_y, or when the
@@ -350,15 +355,17 @@ def fit_ml(ds: ClusteredDataset) -> FitResult:
     """Maximum likelihood fit.
 
     Args:
-        ds: clustered dataset; validated on entry.
+        ds: clustered dataset.
 
     Returns:
         FitResult with the ML parameter estimates; a vanished variance
         comes back flagged, never as an error.
 
     Raises:
+        EmptyDataset: fewer than two clusters.
         SingularDelta: collinear intercept/covariate design.
-        DegenerateWithinDesign: within design carries no information.
+        DegenerateWithinDesign: within design carries no information
+            (every cluster a singleton, or S_w_x rank deficient).
     """
     return _fit(ds, reml=False)
 

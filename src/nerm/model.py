@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DegenerateWithinDesign,
     EmptyDataset,
     NonFiniteValue,
     NonPositiveVariance,
@@ -45,7 +44,6 @@ __all__ = [
     "assemble",
     "ClusteredDataset",
     "SufficientStats",
-    "validate_dataset",
     "center_within_covariates",
     "sufficient_stats",
     "tau",
@@ -167,7 +165,15 @@ class ClusteredDataset:
     Rows are grouped by cluster: cluster k holds rows
     ``offsets[k]:offsets[k+1]`` of ``y`` and ``x_w``, row k of ``x_b`` and
     label ``ids[k]``.  The covariate dimensions are the column counts of
-    ``x_b`` and ``x_w``; arrays that disagree in shape raise RaggedCovariates.
+    ``x_b`` and ``x_w``.  Every dataset is checked once, here, on
+    construction.  What a fit further needs (two clusters, n > g) is
+    checked by the fit.
+
+    Raises:
+        RaggedCovariates: the arrays disagree in shape.
+        EmptyDataset: a cluster has no observations.
+        NonFiniteValue: NaN or infinity in y or any covariate, naming the
+            first cluster that holds one.
     """
 
     y: np.ndarray          # (n,)
@@ -190,6 +196,17 @@ class ClusteredDataset:
                 f"dataset arrays disagree: y {y.shape}, x_w {x_w.shape}, "
                 f"x_b {x_b.shape}, offsets {offsets.shape}, ids {ids.shape}"
             )
+        empty = np.flatnonzero(self.cluster_sizes < 1)
+        if empty.size:
+            raise EmptyDataset(f"cluster {str(ids[empty[0]])!r} has no observations")
+        starts = offsets[:-1]
+        bad_y = np.logical_or.reduceat(~np.isfinite(y), starts)
+        bad_x = np.logical_or.reduceat(~np.all(np.isfinite(x_w), axis=1), starts) \
+            | ~np.all(np.isfinite(x_b), axis=1)
+        if np.any(bad_y | bad_x):
+            k = int(np.argmax(bad_y | bad_x))
+            what = "response" if bad_y[k] else "covariate"
+            raise NonFiniteValue(f"cluster {str(ids[k])!r}: non-finite {what}")
 
     @property
     def p_b(self) -> int:
@@ -230,46 +247,10 @@ class ClusteredDataset:
 
 
 def _cluster_means(ds: ClusteredDataset, a: np.ndarray) -> np.ndarray:
-    """Per-cluster means of the rows of ``a``; needs nonempty clusters."""
+    """Per-cluster means of the rows of ``a``."""
     sizes = ds.cluster_sizes
     sums = np.add.reduceat(a, ds.offsets[:-1], axis=0)
     return sums / (sizes if a.ndim == 1 else sizes[:, None])
-
-
-def validate_dataset(ds: ClusteredDataset) -> ClusteredDataset:
-    """Check every structural invariant and return the dataset unchanged.
-
-    Args:
-        ds: dataset to check.
-
-    Returns:
-        The same object, once all invariants hold.
-
-    Raises:
-        EmptyDataset: fewer than two clusters, or an empty cluster.
-        NonFiniteValue: NaN or infinity in y or any covariate.
-        DegenerateWithinDesign: no cluster has two observations, so the
-            within-cluster variance carries no information (n == g).
-    """
-    if ds.g < 2:
-        raise EmptyDataset(f"need at least 2 clusters, got {ds.g}")
-    empty = np.flatnonzero(ds.cluster_sizes < 1)
-    if empty.size:
-        raise EmptyDataset(f"cluster {str(ds.ids[empty[0]])!r} has no observations")
-    starts = ds.offsets[:-1]
-    bad_y = np.logical_or.reduceat(~np.isfinite(ds.y), starts)
-    bad_x = np.logical_or.reduceat(~np.all(np.isfinite(ds.x_w), axis=1), starts) \
-        | ~np.all(np.isfinite(ds.x_b), axis=1)
-    if np.any(bad_y | bad_x):
-        k = int(np.argmax(bad_y | bad_x))
-        what = "response" if bad_y[k] else "covariate"
-        raise NonFiniteValue(f"cluster {str(ds.ids[k])!r}: non-finite {what}")
-    if ds.n <= ds.g:
-        raise DegenerateWithinDesign(
-            "every cluster is a singleton (n == g); the residual variance "
-            "is not identified"
-        )
-    return ds
 
 
 def center_within_covariates(
@@ -281,7 +262,7 @@ def center_within_covariates(
     (the "contextual" parameterization), so no information is lost.
 
     Args:
-        ds: validated dataset with p_w >= 1.
+        ds: dataset with p_w >= 1.
         add_contextual: append each cluster's pre-centering mean of the
             within covariates to its between covariates.
 
@@ -349,8 +330,7 @@ def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:
     on the same dataset returns the same object.  Uses a two-pass scheme
     (means first, then deviations) for numerical stability; each cluster
     contributes independently, so the pooled cross products do not depend
-    on cluster ordering.  Needs nonempty clusters (see
-    :func:`validate_dataset`).
+    on cluster ordering.
     """
     return ds._stats
 

@@ -79,7 +79,8 @@ def clusters(ds: ClusteredDataset) -> list[Cluster]:
 
 
 def make_dataset(y_by_cluster, x_b=None, x_w=None, p_b=0, p_w=0) -> ClusteredDataset:
-    """Assemble a dataset from plain lists; no validation side effects."""
+    """Assemble a dataset from plain lists, clusters labelled c000, c001, ...;
+    raises what the ClusteredDataset constructor raises."""
     records = []
     for k, y in enumerate(y_by_cluster):
         y = np.asarray(y, dtype=float)
@@ -173,15 +174,16 @@ def naive_center(ds: ClusteredDataset, add_contextual: bool):
     return out
 
 
-def naive_first_nonfinite(ds: ClusteredDataset):
-    """(cluster id, "response" or "covariate") of the first non-finite
-    value, checking each cluster's responses before its covariates."""
-    for c in clusters(ds):
-        if not all(np.isfinite(float(v)) for v in c.y):
-            return c.id, "response"
-        values = [float(v) for v in c.x_b] + [float(v) for v in c.x_w.ravel()]
+def naive_first_nonfinite(ys, xbs, xws):
+    """(cluster index, "response" or "covariate") of the first non-finite
+    value in per-cluster lists of responses, between and within covariates,
+    checking each cluster's responses before its covariates."""
+    for k, (y, x_b, x_w) in enumerate(zip(ys, xbs, xws)):
+        if not all(np.isfinite(float(v)) for v in y):
+            return k, "response"
+        values = [float(v) for v in x_b] + [float(v) for v in np.ravel(x_w)]
         if not all(np.isfinite(v) for v in values):
-            return c.id, "covariate"
+            return k, "covariate"
     return None
 
 

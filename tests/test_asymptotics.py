@@ -14,7 +14,6 @@ import pytest
 from nerm.asymptotics import (
     ConfidenceInterval,
     CovariateLimits,
-    InfluencePoint,
     MomentEstimates,
     confidence_intervals,
     estimate_moments,
@@ -255,8 +254,7 @@ def test_Bn_approaches_B_for_balanced_deterministic_design():
 
 def test_influence_closed_form_point():
     limits = CovariateLimits(c1=[0.0], C2=[[1.0]], C3=[[2.0]])
-    point = InfluencePoint(alpha=2.0, e=-1.0, x_b=[3.0], x_w_dev=[0.5])
-    lam = influence(point, limits, (1.0, 1.0))
+    lam = influence(2.0, -1.0, [3.0], [0.5], limits, (1.0, 1.0))
     # d = 1, d1 = 0, D2 = 1: lam = (alpha, x_b alpha, alpha^2 - 1,
     #                               C3^-1 x_w_dev e, e^2 - 1)
     assert np.allclose(lam, [2.0, 6.0, 3.0, -0.25, 0.0])
@@ -274,13 +272,13 @@ def test_influence_has_mean_zero_under_the_truth():
     acc2 = np.zeros(5)
     sd_b = math.sqrt(C2[0, 0] - c1[0]**2)
     for _ in range(reps):
-        point = InfluencePoint(
+        lam = influence(
             alpha=rng.normal(scale=math.sqrt(theta[0])),
             e=rng.normal(scale=math.sqrt(theta[1])),
             x_b=c1 + rng.normal(scale=sd_b, size=1),
             x_w_dev=rng.normal(scale=math.sqrt(C3[0, 0]), size=1),
+            limits=limits, theta_dot=theta,
         )
-        lam = influence(point, limits, theta)
         acc += lam
         acc2 += lam * lam
     mean = acc / reps

@@ -288,6 +288,53 @@ def test_fit_missing_input_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "ci"])
+@pytest.mark.parametrize("text,line", [
+    ("cluster,y,w_1\na,1,0.1\na,2,0.3\na,4,0.2\n",
+     "error: need at least 2 clusters, got 1"),
+    ("cluster,y,w_1\na,1,0.1\nb,2,0.3\nc,4,0.2\n",
+     "error: every cluster is a singleton (n == g); the residual variance "
+     "is not identified"),
+    ("cluster,y,w_1\na,1,0.1\na,2,0.3\nb,nan,0.2\nb,5,0.7\n",
+     "error: cluster 'b': non-finite response"),
+    ("cluster,y,w_1\na,1,0.1\na,2,0.3\nb,3,inf\nb,5,0.7\n",
+     "error: cluster 'b': non-finite covariate"),
+], ids=["one-cluster", "all-singletons", "nan-response", "inf-within"])
+def test_bad_input_fails_with_its_error_line(tmp_path, capsys, command, text, line):
+    assert main([command, "--input", _write(tmp_path, text)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"bare {token} in {path}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_json_output_writes_non_finite_numbers_as_null(tmp_path):
+    # lognormal(13.3) errors overflow every fit: coverage and the
+    # covariance are NaN, written as null
+    out = str(tmp_path / "sim.json")
+    assert main(["simulate", "--g", "10", "--m", "3", "--reps", "3",
+                 "--sigma-e-sq", "1e10", "--e-dist", "lognormal(13.3)",
+                 "--output", out]) == EXIT_FLAGGED
+    report = _strict_json(out)
+    assert set(report["coverage"].values()) == {None}
+    # a floor-pinned sigma_alpha_sq with spread cluster means: its interval
+    # runs up to infinity
+    text = "cluster,y\na,-10\na,10.1\nb,-10\nb,10\nc,-10\nc,9.9\n"
+    out = str(tmp_path / "ci.json")
+    assert main(["ci", "--input", _write(tmp_path, text), "--method", "ml",
+                 "--output", out]) == EXIT_FLAGGED
+    ml = _strict_json(out)["results"]["ml"]
+    assert ml["fit"]["boundary_flag"] is True
+    sa = [iv for iv in ml["intervals"] if iv["name"] == "sigma_alpha_sq"][0]
+    assert sa["lower"] >= 0.0 and sa["upper"] is None
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

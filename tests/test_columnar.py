@@ -14,7 +14,7 @@ from nerm.asymptotics import estimate_moments
 from nerm.cli import read_dataset_csv
 from nerm.errors import NonFiniteValue
 from nerm.estimation import FitResult
-from nerm.model import center_within_covariates, sufficient_stats, validate_dataset
+from nerm.model import center_within_covariates, sufficient_stats
 
 from .helpers import (
     close,
@@ -54,24 +54,24 @@ def test_sufficient_stats_match_loops_with_singletons(p_b, p_w):
 
 @pytest.mark.parametrize("p_b,p_w", DESIGNS)
 def test_validate_matches_loop_oracle(p_b, p_w):
+    # the dataset is checked where it is built
     rng = np.random.default_rng(200 + 10 * p_b + p_w)
     ds = _ragged_dataset(rng, p_b, p_w)
-    assert naive_first_nonfinite(ds) is None
-    assert validate_dataset(ds) is ds
-    # Plant bad values: a covariate in the fifth cluster (a within one
-    # where there is one) and a response in the seventh.
     ys = [c.y.copy() for c in clusters(ds)]
     xbs = [c.x_b.copy() for c in clusters(ds)]
     xws = [c.x_w.copy() for c in clusters(ds)]
+    assert naive_first_nonfinite(ys, xbs, xws) is None
+    # Plant bad values: a covariate in the fifth cluster (a within one
+    # where there is one) and a response in the seventh.
     ys[6][1] = np.nan
     if p_w:
         xws[4][3, p_w - 1] = np.inf
     elif p_b:
         xbs[4][0] = -np.inf
-    bad = make_dataset(ys, xbs, xws, p_b=p_b, p_w=p_w)
-    cid, what = naive_first_nonfinite(bad)
-    with pytest.raises(NonFiniteValue, match=f"cluster '{cid}': non-finite {what}"):
-        validate_dataset(bad)
+    k, what = naive_first_nonfinite(ys, xbs, xws)
+    with pytest.raises(NonFiniteValue,
+                       match=f"cluster '{ds.ids[k]}': non-finite {what}"):
+        make_dataset(ys, xbs, xws, p_b=p_b, p_w=p_w)
 
 
 @pytest.mark.parametrize("p_b", [0, 2])

@@ -13,13 +13,13 @@ from nerm.errors import (
     NoWithinCovariates,
     RaggedCovariates,
 )
+from nerm.estimation import fit_ml, fit_reml
 from nerm.model import (
     ClusteredDataset,
     ParameterVector,
     center_within_covariates,
     sufficient_stats,
     tau,
-    validate_dataset,
 )
 
 from .helpers import (
@@ -78,27 +78,30 @@ def test_parameter_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: a dataset is checked once, when it is built; the fit checks
+# what it needs on top (two clusters, n > g)
 # ---------------------------------------------------------------------------
 
 def test_validate_accepts_and_returns_dataset():
     ds = make_dataset([[1.0, 2.0], [3.0]])
-    assert validate_dataset(ds) is ds
+    assert (ds.g, ds.n) == (2, 3)
+    for fit in (fit_ml(ds), fit_reml(ds)):
+        assert (fit.g, fit.n) == (2, 3)
 
 
 def test_validate_needs_two_clusters():
     ds = make_dataset([[1.0, 2.0]])
-    with pytest.raises(EmptyDataset):
-        validate_dataset(ds)
+    for fit in (fit_ml, fit_reml):
+        with pytest.raises(EmptyDataset, match="^need at least 2 clusters, got 1$"):
+            fit(ds)
 
 
 def test_validate_rejects_empty_cluster():
-    ds = pack(
-        (Cluster("a", [1.0], np.empty(0), np.empty((1, 0))),
-         Cluster("b", np.empty(0), np.empty(0), np.empty((0, 0)))),
-        p_b=0, p_w=0)
-    with pytest.raises(EmptyDataset):
-        validate_dataset(ds)
+    with pytest.raises(EmptyDataset, match="^cluster 'b' has no observations$"):
+        pack(
+            (Cluster("a", [1.0], np.empty(0), np.empty((1, 0))),
+             Cluster("b", np.empty(0), np.empty(0), np.empty((0, 0)))),
+            p_b=0, p_w=0)
 
 
 def test_validate_rejects_ragged_covariates():
@@ -114,19 +117,20 @@ def test_validate_rejects_ragged_covariates():
 
 
 def test_validate_rejects_nonfinite():
-    ds = make_dataset([[1.0, np.nan], [3.0, 4.0]])
-    with pytest.raises(NonFiniteValue):
-        validate_dataset(ds)
-    ds = make_dataset([[1.0, 2.0], [3.0, 4.0]],
-                      x_w=[[[0.1], [np.inf]], [[0.2], [0.3]]], p_w=1)
-    with pytest.raises(NonFiniteValue):
-        validate_dataset(ds)
+    with pytest.raises(NonFiniteValue, match="^cluster 'c000': non-finite response$"):
+        make_dataset([[1.0, np.nan], [3.0, 4.0]])
+    with pytest.raises(NonFiniteValue, match="^cluster 'c000': non-finite covariate$"):
+        make_dataset([[1.0, 2.0], [3.0, 4.0]],
+                     x_w=[[[0.1], [np.inf]], [[0.2], [0.3]]], p_w=1)
 
 
 def test_validate_rejects_all_singletons():
     ds = make_dataset([[1.0], [2.0], [3.0]])
-    with pytest.raises(DegenerateWithinDesign):
-        validate_dataset(ds)
+    for fit in (fit_ml, fit_reml):
+        with pytest.raises(DegenerateWithinDesign,
+                           match=r"^every cluster is a singleton \(n == g\); the "
+                                 r"residual variance is not identified$"):
+            fit(ds)
 
 
 # ---------------------------------------------------------------------------
