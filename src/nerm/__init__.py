@@ -71,7 +71,6 @@ from .simulation import (
     NormalDist,
     RandomCovariates,
     RateReport,
-    ReplicateResult,
     ScaledT,
     SimConfig,
     generate_dataset,

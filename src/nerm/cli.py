@@ -107,9 +107,9 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
     in file order.
 
     Raises:
-        ParseError: unreadable file, missing columns, a row whose field
-            count differs from the header's, non-numeric fields, or a
-            between covariate that varies inside a cluster.
+        ParseError: unreadable file, missing or repeated columns, a row
+            whose field count differs from the header's, non-numeric
+            fields, or a between covariate that varies inside a cluster.
         NonFiniteValue: NaN or infinity in a response or covariate (see
             :class:`ClusteredDataset`).
     """
@@ -123,6 +123,9 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
         if header is None:
             raise ParseError(f"{path}: empty file")
         header = [h.strip() for h in header]
+        twice = sorted({h for h in header if header.count(h) > 1})
+        if twice:
+            raise ParseError(f"{path}: columns named more than once: {twice}")
         if "cluster" not in header or "y" not in header:
             raise ParseError(f"{path}: header must contain 'cluster' and 'y'")
         b_cols = _covariate_columns(header, "b_")
@@ -160,8 +163,9 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
     data = np.frombuffer(values).reshape(code.size, -1)[order]
     b_rows = data[:, 1:1 + len(b_cols)]
     x_b = b_rows[offsets[:-1]]
-    changed = np.any(b_rows != np.repeat(x_b, sizes, axis=0), axis=1)
-    changed[offsets[:-1]] = False  # a first row is its own reference, even if NaN
+    ref = np.repeat(x_b, sizes, axis=0)
+    same = (b_rows == ref) | (np.isnan(b_rows) & np.isnan(ref))   # NaN == NaN
+    changed = ~np.all(same, axis=1)
     if changed.any():
         first = int(order[changed].min())
         label = list(labels)[code[first]]
@@ -198,21 +202,20 @@ def write_replicates_csv(summary: MonteCarloSummary, path: str) -> None:
               + [f"err_{_san(n)}" for n in names]
               + [f"hit_{_san(n)}" for n in names]
               + ["ml_reml_gap"])
+    s = summary
+    numbers = np.hstack([s.omega_ml, s.omega_reml, s.normalized_error]).tolist()
+    blank = [""] * (4 * len(names) + 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        blank = [""] * len(names)
-        for r in summary.replicates:
-            if r.ok:
-                row = ([r.index, 1, int(r.boundary), ""]
-                       + [_fmt(v) for v in r.omega_ml]
-                       + [_fmt(v) for v in r.omega_reml]
-                       + [_fmt(v) for v in r.normalized_error]
-                       + [int(r.ci_hits[n]) for n in names]
-                       + [_fmt(r.ml_reml_gap)])
+        for i, error in enumerate(s.error.tolist()):
+            if error:
+                writer.writerow([i, 0, 0, error] + blank)
             else:
-                row = [r.index, 0, 0, r.error] + blank * 4 + [""]
-            writer.writerow(row)
+                writer.writerow([i, 1, int(s.boundary[i]), ""]
+                                + [_fmt(v) for v in numbers[i]]
+                                + s.ci_hits[i].astype(int).tolist()
+                                + [_fmt(s.ml_reml_gap[i])])
 
 
 # ---------------------------------------------------------------------------

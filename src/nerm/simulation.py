@@ -2,10 +2,11 @@
 
 The engine simulates clustered data from the nested error model with
 user-chosen (non-normal, if desired) effect distributions, fits ML and
-REML to every replicate, and summarizes exactly the quantities the theory
-speaks about: the empirical covariance of K^(1/2)(omega_hat - omega_true),
-the coverage of the moment-based intervals, the size of the normalized
-ML/REML gap, and diagnostics for the cluster-mean error moments
+REML to every replicate and keeps the run as arrays, one row per
+replicate.  From them it reads exactly the quantities the theory speaks
+about: the empirical covariance of K^(1/2)(omega_hat - omega_true), the
+coverage of the moment-based intervals, the size of the normalized ML/REML
+gap, and diagnostics for the cluster-mean error moments
 
     E ebar = 0,                 E ebar^2 = sigma_e_sq / m,
     E ebar^3 = E e^3 / m^2,     E ebar^4 = 3 sigma_e_sq^2 / m^2
@@ -56,7 +57,6 @@ __all__ = [
     "FixedCovariates",
     "RandomCovariates",
     "SimConfig",
-    "ReplicateResult",
     "MonteCarloSummary",
     "RateReport",
     "generate_dataset",
@@ -418,64 +418,46 @@ def generate_dataset(cfg: SimConfig, replicate_index: int = 0) -> ClusteredDatas
 # replication engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    """Everything recorded about a single Monte Carlo replicate."""
-
-    index: int
-    ok: bool
-    boundary: bool
-    omega_ml: np.ndarray | None          # flat estimates
-    omega_reml: np.ndarray | None
-    normalized_error: np.ndarray | None  # K^(1/2)(omega_hat_ml - omega_true)
-    ci_hits: dict | None                 # interval name -> bool
-    ml_reml_gap: float | None            # |K^(1/2)(omega_reml - omega_ml)|
-    error: str | None = None
-
-
 def _run_one(cfg: SimConfig, index: int):
-    """One replicate; returns (ReplicateResult, ebar_power_sums_by_size)."""
+    """One replicate: its row of the summary's arrays (error, boundary,
+    omega_ml, omega_reml, normalized_error, ci_hits, ml_reml_gap) and its
+    cluster-mean errors."""
     arrays, ebar = _generate(cfg, index)
-    sums = {}
-    for m in np.unique(cfg.sizes):
-        vals = ebar[cfg.sizes == m]
-        sums[int(m)] = (np.array([np.sum(vals**k) for k in range(1, 9)]),
-                        vals.size)
+    true_flat = cfg.true_omega.flatten()
     try:   # a dataset the constructor rejects fails this replicate only
         ds = ClusteredDataset(**arrays)
         ml = fit_ml(ds)
         reml = fit_reml(ds)
-        true_flat = cfg.true_omega.flatten()
         om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()
         k_half = np.sqrt(normalization(ds.g, ds.n, ds.p_b, ds.p_w))
-        norm_err = k_half * (om_ml - true_flat)
-        gap = float(np.linalg.norm(k_half * (om_reml - om_ml)))
         limits = CovariateLimits.from_dataset(ds)
         moments = estimate_moments(ds, ml)
         cis = confidence_intervals(ml, limits, moments, cfg.gamma)
-        hits = {ci.name: ci.contains(t) for ci, t in zip(cis, true_flat)}
-        rep = ReplicateResult(
-            index=index, ok=True,
-            boundary=bool(ml.boundary_flag or reml.boundary_flag),
-            omega_ml=om_ml, omega_reml=om_reml,
-            normalized_error=norm_err, ci_hits=hits, ml_reml_gap=gap,
-        )
+        row = ("", bool(ml.boundary_flag or reml.boundary_flag), om_ml,
+               om_reml, k_half * (om_ml - true_flat),
+               np.array([ci.contains(t) for ci, t in zip(cis, true_flat)]),
+               float(np.linalg.norm(k_half * (om_reml - om_ml))))
     except NermError as exc:
-        rep = ReplicateResult(
-            index=index, ok=False, boundary=False, omega_ml=None,
-            omega_reml=None, normalized_error=None, ci_hits=None,
-            ml_reml_gap=None, error=f"{type(exc).__name__}: {exc}",
-        )
-    return rep, sums
+        nan = np.full(true_flat.size, np.nan)
+        row = (f"{type(exc).__name__}: {exc}", False, nan, nan, nan,
+               np.zeros(true_flat.size, dtype=bool), math.nan)
+    return row, ebar
 
 
-def _diagnose_ebar(power_sums: dict, e_dist, sigma_e_sq: float) -> dict:
-    """Compare empirical ebar moments with the analytic identities."""
+def _diagnose_ebar(ebar_by_size: dict, e_dist, sigma_e_sq: float) -> dict:
+    """Compare empirical ebar moments with the analytic identities.
+
+    ``ebar_by_size`` maps a cluster size to its cluster-mean errors, one
+    row per replicate; power sums are formed per row and added in row
+    order (one sum over the stacked rows would round differently).
+    """
     se = e_dist.variance(sigma_e_sq)
     m3 = e_dist.moment3(sigma_e_sq)
     m4 = e_dist.moment4(sigma_e_sq)
     out = {}
-    for m, (sums, count) in sorted(power_sums.items()):
+    for m, rows in sorted(ebar_by_size.items()):
+        sums = sum(np.array([np.sum(row**k) for k in range(1, 9)]) for row in rows)
+        count = rows.size
         mf = float(m)
         expected = {
             "mean": 0.0,
@@ -501,31 +483,84 @@ def _diagnose_ebar(power_sums: dict, e_dist, sigma_e_sq: float) -> dict:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Aggregates of a replication run.
+    """A replication run as arrays, one row per replicate in index order.
 
-    Coverage, the empirical covariance of the normalized errors and the
-    ML/REML gap statistics are computed over replicates that finished and
-    stayed off the variance floor; boundary and failed replicates are
-    counted separately; a statistic with too few such replicates (none, or
-    one for the covariance and the cross-block correlation) is NaN.
-    ``ebar_moments`` holds the cluster-mean error diagnostics keyed by
-    cluster size.
+    A failed replicate has NaN rows, no hits and a NaN gap.  Every
+    aggregate is read off the arrays; coverage, the normalized-error
+    covariance and the gap statistics use the ``interior`` replicates only,
+    and one with too few of them (none, or one for the covariance and the
+    cross-block correlation) is NaN.  ``ebar_moments`` holds the
+    cluster-mean error diagnostics keyed by cluster size.
     """
 
     parameter_names: list
-    n_replications: int
-    n_ok: int
-    n_boundary: int
-    n_failed: int
-    coverage: dict
-    empirical_covariance: np.ndarray
-    cross_block_max_correlation: float
-    gap_mean: float
-    gap_median: float
+    error: np.ndarray              # (R,) str, "" for a finished replicate
+    boundary: np.ndarray           # (R,) bool, a fit on the variance floor
+    omega_ml: np.ndarray           # (R, dim) flat ML estimates
+    omega_reml: np.ndarray         # (R, dim) flat REML estimates
+    normalized_error: np.ndarray   # (R, dim) K^(1/2)(omega_ml - omega_true)
+    ci_hits: np.ndarray            # (R, dim) bool, the interval covers the truth
+    ml_reml_gap: np.ndarray        # (R,) |K^(1/2)(omega_reml - omega_ml)|
     ebar_moments: dict
     gamma: float
     seed: int
-    replicates: tuple
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Replicates that finished off the variance floor."""
+        return (self.error == "") & ~self.boundary
+
+    @property
+    def n_replications(self) -> int:
+        return len(self.error)
+
+    @property
+    def n_ok(self) -> int:
+        return int(np.sum(self.error == ""))
+
+    @property
+    def n_boundary(self) -> int:
+        return int(np.sum(self.boundary))
+
+    @property
+    def n_failed(self) -> int:
+        return self.n_replications - self.n_ok
+
+    @property
+    def coverage(self) -> dict:
+        hits = self.ci_hits[self.interior]
+        rates = hits.mean(axis=0) if len(hits) else [math.nan] * hits.shape[1]
+        return {name: float(v) for name, v in zip(self.parameter_names, rates)}
+
+    @property
+    def empirical_covariance(self) -> np.ndarray:
+        errs = self.normalized_error[self.interior]   # dim >= 3: np.cov is 2-D
+        if len(errs) < 2:   # a covariance needs two replicates
+            return np.full((errs.shape[1],) * 2, np.nan)
+        return np.cov(errs, rowvar=False, ddof=1)
+
+    @property
+    def cross_block_max_correlation(self) -> float:
+        if np.count_nonzero(self.interior) < 2:
+            return math.nan
+        cov = self.empirical_covariance
+        sd = np.sqrt(np.diag(cov))
+        denom = np.outer(sd, sd)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.where(denom > 0, cov / denom, 0.0)
+        ia = self.parameter_names.index("sigma_alpha_sq")
+        cross = corr[:ia + 1, ia + 1:]   # between rows, within columns
+        return float(np.max(np.abs(cross))) if cross.size else 0.0
+
+    @property
+    def gap_mean(self) -> float:
+        gaps = self.ml_reml_gap[self.interior]
+        return float(gaps.mean()) if gaps.size else math.nan
+
+    @property
+    def gap_median(self) -> float:
+        gaps = self.ml_reml_gap[self.interior]
+        return float(np.median(gaps)) if gaps.size else math.nan
 
     def to_json_dict(self) -> dict:
         return {
@@ -534,11 +569,11 @@ class MonteCarloSummary:
             "n_ok": self.n_ok,
             "n_boundary": self.n_boundary,
             "n_failed": self.n_failed,
-            "coverage": {k: float(v) for k, v in self.coverage.items()},
-            "empirical_covariance": np.asarray(self.empirical_covariance).tolist(),
-            "cross_block_max_correlation": float(self.cross_block_max_correlation),
-            "gap_mean": float(self.gap_mean),
-            "gap_median": float(self.gap_median),
+            "coverage": self.coverage,
+            "empirical_covariance": self.empirical_covariance.tolist(),
+            "cross_block_max_correlation": self.cross_block_max_correlation,
+            "gap_mean": self.gap_mean,
+            "gap_median": self.gap_median,
             "ebar_moments": self.ebar_moments,
             "gamma": self.gamma,
             "seed": self.seed,
@@ -572,64 +607,24 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
     else:
         results = [_run_one(cfg, i) for i in indices]
 
-    reps = tuple(r for r, _ in results)
-    power_sums: dict = {}
-    for _, sums in results:
-        for m, (vec, cnt) in sums.items():
-            old_vec, old_cnt = power_sums.get(m, (0.0, 0))
-            power_sums[m] = (old_vec + vec, old_cnt + cnt)
-
-    ok = [r for r in reps if r.ok]
-    if not ok:
+    rows, ebars = zip(*results)
+    error, boundary, om_ml, om_reml, norm_err, hits, gap = zip(*rows)
+    if all(error):
         raise AllReplicatesFailed(
-            f"all {cfg.replications} replicates failed; first error: "
-            f"{reps[0].error}"
+            f"all {cfg.replications} replicates failed; first error: {error[0]}"
         )
-    included = [r for r in ok if not r.boundary]
-    p_b, p_w = cfg.true_omega.p_b, cfg.true_omega.p_w
-    names = parameter_names(p_b, p_w)
-    dim = len(names)
-
-    if included:
-        coverage = {
-            name: float(np.mean([r.ci_hits[name] for r in included]))
-            for name in names
-        }
-        gaps = np.array([r.ml_reml_gap for r in included])
-        gap_mean, gap_median = float(gaps.mean()), float(np.median(gaps))
-    else:
-        coverage = {name: float("nan") for name in names}
-        gap_mean = gap_median = float("nan")
-    if len(included) >= 2:
-        errs = np.vstack([r.normalized_error for r in included])
-        emp_cov = np.cov(errs, rowvar=False, ddof=1).reshape(dim, dim)
-        sd = np.sqrt(np.diag(emp_cov))
-        denom = np.outer(sd, sd)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.where(denom > 0, emp_cov / denom, 0.0)
-        _, _, _, ia, _, _ = parameter_layout(p_b, p_w)
-        cross = corr[:ia + 1, ia + 1:]   # between rows, within columns
-        cross_max = float(np.max(np.abs(cross))) if cross.size else 0.0
-    else:   # a covariance needs two replicates
-        emp_cov = np.full((dim, dim), np.nan)
-        cross_max = float("nan")
-
+    ebar, sizes = np.vstack(ebars), cfg.sizes
     return MonteCarloSummary(
-        parameter_names=names,
-        n_replications=cfg.replications,
-        n_ok=len(ok),
-        n_boundary=sum(1 for r in ok if r.boundary),
-        n_failed=len(reps) - len(ok),
-        coverage=coverage,
-        empirical_covariance=emp_cov,
-        cross_block_max_correlation=cross_max,
-        gap_mean=gap_mean,
-        gap_median=gap_median,
-        ebar_moments=_diagnose_ebar(power_sums, cfg.e_dist,
-                                    cfg.true_omega.sigma_e_sq),
+        parameter_names=parameter_names(cfg.true_omega.p_b, cfg.true_omega.p_w),
+        error=np.array(error), boundary=np.array(boundary),
+        omega_ml=np.vstack(om_ml), omega_reml=np.vstack(om_reml),
+        normalized_error=np.vstack(norm_err), ci_hits=np.vstack(hits),
+        ml_reml_gap=np.array(gap),
+        ebar_moments=_diagnose_ebar(
+            {m: ebar[:, sizes == m] for m in np.unique(sizes)},
+            cfg.e_dist, cfg.true_omega.sigma_e_sq),
         gamma=cfg.gamma,
         seed=cfg.seed,
-        replicates=reps,
     )
 
 
@@ -645,15 +640,13 @@ def moment_diagnostics(cfg: SimConfig) -> dict:
     """
     rng = _rng_for(cfg, 1)
     sizes = cfg.sizes
-    power_sums = {}
+    ebar = {}
     for m in np.unique(sizes):
         count = int(np.sum(sizes == m)) * cfg.replications
         draws = cfg.e_dist.sample(rng, (count, int(m)),
                                   cfg.true_omega.sigma_e_sq)
-        ebar = draws.mean(axis=1)
-        power_sums[int(m)] = (
-            np.array([np.sum(ebar**k) for k in range(1, 9)]), count)
-    return _diagnose_ebar(power_sums, cfg.e_dist, cfg.true_omega.sigma_e_sq)
+        ebar[m] = draws.mean(axis=1)[None, :]   # one batch, one row
+    return _diagnose_ebar(ebar, cfg.e_dist, cfg.true_omega.sigma_e_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +710,13 @@ def rate_probe(cfg_sequence: Sequence[SimConfig],
     sd1, sd2 = [], []
     for c in cfgs:
         summary = run_replications(c, max_workers=max_workers)
+        ests = summary.omega_ml[summary.interior]
+        if len(ests) < 2:
+            raise InsufficientSequence(
+                f"configuration g={c.g}, n={c.n}: only {len(ests)} of "
+                f"{c.replications} replicates are interior; a spread needs 2"
+            )
         _, _, i1, _, i2, _ = parameter_layout(c.true_omega.p_b, c.true_omega.p_w)
-        ests = np.vstack([r.omega_ml for r in summary.replicates
-                          if r.ok and not r.boundary])
         sd1.append(float(np.std(ests[:, i1.start], ddof=1)))   # first beta1 entry
         sd2.append(float(np.std(ests[:, i2.start], ddof=1)))   # first beta2 entry
     slope1 = _ls_slope(np.log(np.asarray(gs, dtype=float)), np.log(np.asarray(sd1)))

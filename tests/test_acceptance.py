@@ -390,8 +390,7 @@ def test_criterion_08_convergence_rates(capsys, size_sweep):
     """SD of beta1 shrinks like 1/sqrt(g); SD of beta2 like 1/sqrt(n)."""
     log_g, log_n, log_sd_b1, log_sd_b2 = [], [], [], []
     for g, m, summary in size_sweep:
-        est = np.array([r.omega_ml for r in summary.replicates
-                        if r.ok and not r.boundary])
+        est = summary.omega_ml[summary.interior]
         log_g.append(math.log(g))
         log_n.append(math.log(g * m))
         log_sd_b1.append(math.log(est[:, 1].std()))
@@ -412,8 +411,7 @@ def test_criterion_09_ml_reml_agreement(capsys, size_sweep):
     """Normalized ML/REML gap shrinks along the doubling sequence."""
     medians = []
     for _, _, summary in size_sweep:
-        gaps = [r.ml_reml_gap for r in summary.replicates
-                if r.ok and not r.boundary]
+        gaps = summary.ml_reml_gap[summary.interior]
         medians.append(float(np.median(gaps)))
     ok = medians[0] >= medians[1] >= medians[2] and medians[2] < 0.1
     _report(capsys, 9, ok,

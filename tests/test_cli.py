@@ -14,6 +14,8 @@ from nerm.cli import (
     RunConfig,
     _build_parser,
     _run_config,
+    _san,
+    _sim_config,
     main,
     read_dataset_csv,
     write_dataset_csv,
@@ -108,6 +110,9 @@ def test_read_csv_free_column_order(tmp_path):
     ("cluster, y, w_1\na, one, 0.1\n", "non-numeric"),
     ("cluster,y\na,1\na,2,3\n", ":3: 3 fields, the header has 2"),
     ("cluster,y,w_1\na,1,0.5\na,2\n", ":3: 2 fields, the header has 3"),
+    ("cluster,y,y\na,1,1\nb,2,2\n", r"columns named more than once: \['y'\]"),
+    ("cluster,y,w_1,w_1\na,1,1,2\na,2,2,3\nb,3,1,1\nb,4,3,1\n",
+     r"columns named more than once: \['w_1'\]"),
 ])
 def test_read_csv_rejects_malformed(tmp_path, text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -299,7 +304,10 @@ def test_fit_missing_input_fails(tmp_path, capsys):
      "error: cluster 'b': non-finite response"),
     ("cluster,y,w_1\na,1,0.1\na,2,0.3\nb,3,inf\nb,5,0.7\n",
      "error: cluster 'b': non-finite covariate"),
-], ids=["one-cluster", "all-singletons", "nan-response", "inf-within"])
+    ("cluster,y,b_1\na,1,nan\na,2,nan\nb,3,1\nb,4,1\nc,5,2\n",
+     "error: cluster 'a': non-finite covariate"),
+], ids=["one-cluster", "all-singletons", "nan-response", "inf-within",
+        "nan-between"])
 def test_bad_input_fails_with_its_error_line(tmp_path, capsys, command, text, line):
     assert main([command, "--input", _write(tmp_path, text)]) == EXIT_FAIL
     captured = capsys.readouterr()
@@ -340,31 +348,56 @@ def test_json_output_writes_non_finite_numbers_as_null(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_simulate_writes_summary_and_replicates(tmp_path):
+    # small clusters and a small effect variance: many boundary replicates
+    args = ["simulate", "--g", "10", "--m", "3", "--sigma-alpha-sq", "0.05",
+            "--reps", "15", "--seed", "3"]
     out = str(tmp_path / "sim.json")
-    rc = main(["simulate", "--g", "15", "--m", "4", "--reps", "10",
-               "--seed", "2", "--output", out])
-    assert rc == EXIT_OK
+    assert main(args + ["--output", out]) == EXIT_FLAGGED
     report = json.loads(open(out).read())
     assert report["command"] == "simulate"
-    assert report["n_replications"] == 10
-    assert report["n_failed"] == 0
+    assert report["n_replications"] == 15
     csv_path = report["replicates_csv"]
     assert csv_path == str(tmp_path / "sim.replicates.csv")
     rows = list(csv.DictReader(open(csv_path)))
-    assert len(rows) == 10
-    assert rows[0]["ok"] == "1"
-    assert float(rows[3]["ml_beta0"]) == pytest.approx(
-        report and float(rows[3]["ml_beta0"]))  # parseable full-precision float
+    assert [int(r["index"]) for r in rows] == list(range(15))
+    # the JSON counts and coverage are readings of the CSV rows
+    ok = [r for r in rows if r["ok"] == "1"]
+    interior = [r for r in ok if r["boundary"] == "0"]
+    assert report["n_ok"] == len(ok)
+    assert report["n_failed"] == sum(r["ok"] == "0" for r in rows)
+    assert report["n_boundary"] == len(ok) - len(interior) > 0
+    names = report["parameter_names"]
+    for name in names:
+        hits = [int(r[f"hit_{_san(name)}"]) for r in interior]
+        assert report["coverage"][name] == pytest.approx(
+            sum(hits) / len(hits), abs=1e-12, rel=0)
+    # every estimate in the CSV parses back to the library's bits
+    summary = run_replications(_sim_config(_run_config(
+        _build_parser().parse_args(args))))
+    for i, r in enumerate(rows):
+        assert r["error"] == summary.error[i]
+        for prefix, est in (("ml", summary.omega_ml[i]),
+                            ("reml", summary.omega_reml[i])):
+            cells = [r[f"{prefix}_{_san(n)}"] for n in names]
+            if r["ok"] == "1":
+                assert [float(c) for c in cells] == est.tolist()
+            else:
+                assert cells == [""] * len(names) and np.isnan(est).all()
 
 
-def test_simulate_is_reproducible(tmp_path):
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    args = ["simulate", "--g", "12", "--m", "3", "--reps", "6", "--seed", "9"]
-    main(args + ["--output", a])
-    main(args + ["--output", b])
-    ra, rb = json.load(open(a)), json.load(open(b))
-    assert ra["empirical_covariance"] == rb["empirical_covariance"]
-    assert ra["coverage"] == rb["coverage"]
+def test_simulate_is_reproducible(tmp_path, monkeypatch):
+    args = ["simulate", "--g", "12", "--m", "3", "--reps", "6", "--seed", "9",
+            "--output", "sim.json"]   # relative, so the JSON names one CSV path
+    files = {}
+    for run, extra in (("a", []), ("b", []), ("one", ["--workers", "1"]),
+                       ("two", ["--workers", "2"])):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        main(args + extra)
+        files[run] = [(tmp_path / run / name).read_bytes()
+                      for name in ("sim.json", "sim.replicates.csv")]
+    assert files["a"] == files["b"]
+    assert files["one"] == files["two"] == files["a"]
 
 
 def test_simulate_flags_boundary_runs(tmp_path):

@@ -10,11 +10,13 @@ import json
 import numpy as np
 import pytest
 
+from nerm import simulation
 from nerm.errors import (
     AllReplicatesFailed,
     InsufficientSequence,
     InvalidConfig,
     InvalidDistribution,
+    SingularDelta,
 )
 from nerm.model import ParameterVector, parameter_names
 from nerm.simulation import (
@@ -233,7 +235,10 @@ def test_run_replications_summary_shape():
     assert np.allclose(s.empirical_covariance, s.empirical_covariance.T)
     assert np.isfinite(s.gap_mean) and np.isfinite(s.gap_median)
     assert 0.0 <= s.cross_block_max_correlation <= 1.0
-    assert len(s.replicates) == 24
+    assert s.error.tolist() == [""] * 24
+    assert s.boundary.shape == s.ml_reml_gap.shape == (24,)
+    for arr in (s.omega_ml, s.omega_reml, s.normalized_error, s.ci_hits):
+        assert arr.shape == (24, 5)
     # the JSON view is a plain serializable dict
     text = json.dumps(s.to_json_dict())
     assert json.loads(text)["n_ok"] == s.n_ok
@@ -248,10 +253,8 @@ def test_run_replications_deterministic_and_worker_independent():
         assert np.array_equal(s1.empirical_covariance, other.empirical_covariance)
         assert s1.coverage == other.coverage
         assert s1.gap_mean == other.gap_mean
-        for a, b in zip(s1.replicates, other.replicates):
-            assert a.index == b.index
-            assert np.array_equal(a.omega_ml, b.omega_ml)
-            assert np.array_equal(a.omega_reml, b.omega_reml)
+        assert np.array_equal(s1.omega_ml, other.omega_ml)
+        assert np.array_equal(s1.omega_reml, other.omega_reml)
 
 
 def test_pool_is_never_larger_than_the_replicates(monkeypatch):
@@ -275,8 +278,7 @@ def test_pool_is_never_larger_than_the_replicates(monkeypatch):
     alone = run_replications(cfg)
     pooled = run_replications(cfg, max_workers=500)
     assert sizes == [3]
-    for a, b in zip(alone.replicates, pooled.replicates):
-        assert np.array_equal(a.omega_ml, b.omega_ml)
+    assert np.array_equal(alone.omega_ml, pooled.omega_ml)
     run_replications(cfg, max_workers=2)
     run_replications(_plain_config(replications=1), max_workers=8)
     assert sizes == [3, 2]   # one replicate runs without a pool
@@ -326,11 +328,36 @@ def test_nonfinite_fixed_covariates_fail_every_replicate():
 def test_normalized_errors_use_the_scaling_matrix():
     cfg = _plain_config(replications=3)
     s = run_replications(cfg)
-    r = s.replicates[0]
     scale = np.array([np.sqrt(12), np.sqrt(12), np.sqrt(12),
                       np.sqrt(48), np.sqrt(48)])
-    manual = scale * (r.omega_ml - cfg.true_omega.flatten())
-    assert np.allclose(r.normalized_error, manual)
+    manual = scale * (s.omega_ml[0] - cfg.true_omega.flatten())
+    assert np.allclose(s.normalized_error[0], manual)
+
+
+def test_failed_replicates_are_nan_rows(monkeypatch):
+    real_fit_ml = simulation.fit_ml
+
+    def flaky_fit_ml(ds):   # fails a seed-fixed subset of the replicates
+        if ds.y[0] > 0.3:
+            raise SingularDelta("planted")
+        return real_fit_ml(ds)
+
+    monkeypatch.setattr(simulation, "fit_ml", flaky_fit_ml)
+    s = run_replications(_plain_config())
+    failed = s.error != ""
+    assert 0 < s.n_failed == failed.sum() < 24 and s.n_ok == 24 - s.n_failed
+    assert set(s.error[failed]) == {"SingularDelta: planted"}
+    for arr in (s.omega_ml, s.omega_reml, s.normalized_error):
+        assert np.isnan(arr[failed]).all() and np.isfinite(arr[~failed]).all()
+    assert not s.ci_hits[failed].any() and not s.boundary[failed].any()
+    assert np.isnan(s.ml_reml_gap[failed]).all()
+    inside = s.interior
+    assert np.array_equal(inside, ~failed & ~s.boundary)
+    assert s.coverage == dict(zip(s.parameter_names,
+                                  s.ci_hits[inside].mean(axis=0).tolist()))
+    assert s.gap_median == np.median(s.ml_reml_gap[inside])
+    assert np.array_equal(s.empirical_covariance,
+                          np.cov(s.normalized_error[inside], rowvar=False))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +387,8 @@ def test_moment_diagnostics_detect_a_wrong_law():
     rng = np.random.default_rng(23)
     draws = CenteredGamma(0.4).sample(rng, (50_000, 5), 1.0)
     ebar = draws.mean(axis=1)
-    sums = {5: (np.array([np.sum(ebar**k) for k in range(1, 9)]), ebar.size)}
-    honest = _diagnose_ebar(sums, CenteredGamma(0.4), 1.0)
-    lying = _diagnose_ebar(sums, NormalDist(), 1.0)
+    honest = _diagnose_ebar({5: ebar[None, :]}, CenteredGamma(0.4), 1.0)
+    lying = _diagnose_ebar({5: ebar[None, :]}, NormalDist(), 1.0)
     assert abs(honest[5]["third"]["zscore"]) < 4.0
     assert abs(lying[5]["third"]["zscore"]) > 10.0
 
@@ -400,6 +426,21 @@ def test_rate_probe_requires_both_covariate_kinds():
                       replications=4) for k in (8, 16, 32)]
     with pytest.raises(InvalidConfig):
         rate_probe(cfgs)
+
+
+def test_rate_probe_needs_two_interior_replicates_per_size():
+    # zero effects and errors put every fit on the variance floor
+    floor = [_plain_config(g=g, cluster_sizes=4, replications=3,
+                           alpha_dist=Degenerate(), e_dist=Degenerate())
+             for g in (8, 16, 32)]
+    with pytest.raises(InsufficientSequence,
+                       match=r"^configuration g=8, n=32: only 0 of 3 replicates"):
+        rate_probe(floor)
+    # one replicate has no spread
+    with pytest.raises(InsufficientSequence,
+                       match=r"^configuration g=10, n=40: only 1 of 1 replicates"):
+        rate_probe([_probe_config(10, 4, reps=1), _probe_config(20, 4),
+                    _probe_config(40, 4)])
 
 
 def test_rate_probe_sees_shrinking_spread():
