@@ -2,8 +2,8 @@
 
 Fits random-intercept linear regressions to clustered data by maximum
 likelihood and REML, provides the increasing-cluster-size asymptotic
-covariance, influence functions and moment-based confidence intervals, and
-ships a Monte Carlo engine that verifies the distributional claims the
+covariance and the moment-based confidence intervals built on it, and
+ships a Monte Carlo engine that checks the distributional claims the
 inference rests on.
 """
 
@@ -12,7 +12,6 @@ from .errors import (
     DegenerateBetweenDesign,
     DegenerateWithinDesign,
     EmptyDataset,
-    InsufficientSequence,
     InvalidConfig,
     InvalidDistribution,
     NermError,
@@ -34,19 +33,13 @@ from .model import (
     sufficient_stats,
     tau,
 )
-from .likelihood import (
-    expected_score_jacobian,
-    log_likelihood,
-    score,
-    score_jacobian,
-)
+from .likelihood import log_likelihood, score
 from .estimation import (
     FitResult,
     adjusted_score,
     fit_ml,
     fit_reml,
     profile_beta,
-    reml_criterion,
 )
 from .asymptotics import (
     ConfidenceInterval,
@@ -54,10 +47,6 @@ from .asymptotics import (
     MomentEstimates,
     confidence_intervals,
     estimate_moments,
-    influence,
-    matrix_A,
-    matrix_B,
-    matrix_Bn,
     matrix_C,
     normal_quantile,
     normalization,
@@ -70,13 +59,10 @@ from .simulation import (
     MonteCarloSummary,
     NormalDist,
     RandomCovariates,
-    RateReport,
     ScaledT,
     SimConfig,
     generate_dataset,
-    moment_diagnostics,
     parse_distribution,
-    rate_probe,
     run_replications,
 )
 

@@ -1,5 +1,5 @@
-"""Increasing-cluster-size asymptotics: covariance matrices, influence
-functions and moment-based confidence intervals.
+"""Increasing-cluster-size asymptotics: the limit covariance and
+moment-based confidence intervals.
 
 Normalized by K^(1/2), K = diag(g, g 1_pb, g, n 1_pw, n), the centered ML
 (and REML) estimator is asymptotically normal with covariance
@@ -14,11 +14,8 @@ diagonal across the between/within split; B does not involve any third or
 fourth moments, A picks up E alpha^3, E alpha^4 and E e^4.  Under normal
 effects A = B, so C = B^-1; otherwise the sandwich keeps excess-kurtosis
 terms in the variance rows and an E alpha^3 coupling between beta0 and
-sigma_alpha_sq.
-
-The finite-sample analogue B_n (the normalized negative expected score
-derivative at the truth for the data at hand) converges to B; it is exposed
-separately so the convergence can be probed directly.
+sigma_alpha_sq.  Only C's closed form (:func:`matrix_C`) is built here;
+the test suite builds A and B separately and checks the product.
 
 Intervals follow one rule over v = diag(C) / K, with C evaluated at the
 fitted variances and plug-in moment estimates: a coefficient gets
@@ -47,11 +44,8 @@ from .errors import (
     RaggedCovariates,
 )
 from .estimation import FitResult
-from .likelihood import expected_score_jacobian
 from .model import (
     ClusteredDataset,
-    ParameterVector,
-    SufficientStats,
     assemble,
     parameter_layout,
     parameter_names,
@@ -64,11 +58,7 @@ __all__ = [
     "MomentEstimates",
     "ConfidenceInterval",
     "normal_quantile",
-    "matrix_A",
-    "matrix_B",
-    "matrix_Bn",
     "matrix_C",
-    "influence",
     "estimate_moments",
     "confidence_intervals",
 ]
@@ -168,19 +158,24 @@ class MomentEstimates:
         for name in ("mu3_alpha", "mu4_alpha", "mu3_e", "mu4_e"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    @classmethod
-    def normal_theory(cls, sigma_alpha_sq: float,
-                      sigma_e_sq: float) -> "MomentEstimates":
-        """Moments a normal law would have; handy for law-level matrices."""
-        return cls(0.0, 3.0 * sigma_alpha_sq**2, 0.0, 3.0 * sigma_e_sq**2)
 
 
 # ---------------------------------------------------------------------------
-# limit matrices
+# the limit covariance
 # ---------------------------------------------------------------------------
 
-def _between_pieces(limits: CovariateLimits):
-    """d, d1, D2 via the blockwise inverse of [[1, c1'], [c1, C2]]."""
+def matrix_C(limits: CovariateLimits, theta_dot,
+             moments: MomentEstimates) -> np.ndarray:
+    """Sandwich covariance B^-1 A B^-1 in closed form.
+
+    sigma_alpha_sq [[d, d1'],[d1, D2]] over (beta0, beta1), the inverse of
+    [[1, c1'], [c1, C2]] taken by blocks, with an E alpha^3 coupling
+    between beta0 and sigma_alpha_sq, E alpha^4 - sigma_alpha_sq^2 for
+    sigma_alpha_sq, sigma_e_sq C3^-1 for beta2 and E e^4 - sigma_e_sq^2
+    for sigma_e_sq; all other cells vanish.
+    """
+    sa, se = float(theta_dot[0]), float(theta_dot[1])
+    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
     c1, C2 = limits.c1, limits.C2
     C2_inv_c1 = np.linalg.solve(C2, c1)
     s = 1.0 - float(c1 @ C2_inv_c1)
@@ -191,60 +186,6 @@ def _between_pieces(limits: CovariateLimits):
     d = 1.0 / s
     d1 = -C2_inv_c1 / s
     D2 = np.linalg.inv(C2) + np.outer(C2_inv_c1, C2_inv_c1) / s
-    return d, d1, D2
-
-
-def matrix_B(limits: CovariateLimits, theta_dot) -> np.ndarray:
-    """Limit of the normalized negative expected score derivative.
-
-    Block diagonal: [[1, c1'],[c1, C2]]/sigma_alpha_sq over (beta0, beta1),
-    then 1/(2 sigma_alpha_sq^2), then C3/sigma_e_sq, then 1/(2 sigma_e_sq^2).
-    """
-    sa, se = float(theta_dot[0]), float(theta_dot[1])
-    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
-    B = np.zeros((dim, dim))
-    B[i0, i0] = 1.0 / sa
-    B[i0, i1] = limits.c1 / sa
-    B[i1, i0] = limits.c1 / sa
-    B[i1, i1] = limits.C2 / sa
-    B[ia, ia] = 1.0 / (2.0 * sa * sa)
-    B[i2, i2] = limits.C3 / se
-    B[ie, ie] = 1.0 / (2.0 * se * se)
-    return B
-
-
-def matrix_A(limits: CovariateLimits, theta_dot,
-             moments: MomentEstimates) -> np.ndarray:
-    """Limit covariance of the normalized score at the truth.
-
-    Equals :func:`matrix_B` except in the variance rows, which carry
-    E alpha^3, E alpha^4 - sigma_alpha_sq^2 and E e^4 - sigma_e_sq^2; under
-    normal moments the two matrices coincide.
-    """
-    sa, se = float(theta_dot[0]), float(theta_dot[1])
-    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
-    A = matrix_B(limits, theta_dot)
-    coupling = moments.mu3_alpha / (2.0 * sa**3)
-    A[i0, ia] = A[ia, i0] = coupling
-    A[i1, ia] = limits.c1 * coupling
-    A[ia, i1] = limits.c1 * coupling
-    A[ia, ia] = (moments.mu4_alpha - sa * sa) / (4.0 * sa**4)
-    A[ie, ie] = (moments.mu4_e - se * se) / (4.0 * se**4)
-    return A
-
-
-def matrix_C(limits: CovariateLimits, theta_dot,
-             moments: MomentEstimates) -> np.ndarray:
-    """Sandwich covariance B^-1 A B^-1 assembled blockwise.
-
-    The closed form: sigma_alpha_sq [[d, d1'],[d1, D2]] over (beta0, beta1)
-    with an E alpha^3 coupling between beta0 and sigma_alpha_sq,
-    E alpha^4 - sigma_alpha_sq^2 for sigma_alpha_sq, sigma_e_sq C3^-1 for
-    beta2 and E e^4 - sigma_e_sq^2 for sigma_e_sq; all other cells vanish.
-    """
-    sa, se = float(theta_dot[0]), float(theta_dot[1])
-    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
-    d, d1, D2 = _between_pieces(limits)
     C = np.zeros((dim, dim))
     C[i0, i0] = sa * d
     C[i0, i1] = sa * d1
@@ -256,50 +197,6 @@ def matrix_C(limits: CovariateLimits, theta_dot,
         C[i2, i2] = se * np.linalg.inv(limits.C3)
     C[ie, ie] = moments.mu4_e - se * se
     return C
-
-
-def matrix_Bn(stats: SufficientStats, theta_dot) -> np.ndarray:
-    """Finite-sample analogue of B for the design at hand.
-
-    Equals -K^(-1/2) E psi'(omega_dot) K^(-1/2) and converges to
-    :func:`matrix_B` as g and the smallest cluster grow.  The coefficients
-    of omega_dot cancel in E psi' at omega = omega_dot, so zeros stand in.
-    """
-    omega_dot = ParameterVector(0.0, np.zeros(stats.p_b), theta_dot[0],
-                                np.zeros(stats.p_w), theta_dot[1])
-    J = expected_score_jacobian(stats, omega_dot, omega_dot)
-    k = np.sqrt(normalization(stats.g, stats.n, stats.p_b, stats.p_w))
-    return -J / np.outer(k, k)
-
-
-# ---------------------------------------------------------------------------
-# influence functions
-# ---------------------------------------------------------------------------
-
-def influence(alpha: float, e: float, x_b, x_w_dev, limits: CovariateLimits,
-              theta_dot) -> np.ndarray:
-    """Influence of a single observation on the normalized estimator, from
-    its cluster effect ``alpha``, residual ``e``, between covariates ``x_b``
-    and centered within covariates ``x_w_dev``.
-
-    Returns the vector (lam_beta0, lam_beta1, lam_sigma_alpha_sq, lam_beta2,
-    lam_sigma_e_sq): the cluster-effect terms scaled by the between design,
-    the squared-effect deviations for the variances, and C3^-1 times the
-    centered within covariate times the residual for beta2.  Averages to
-    zero under the truth.
-    """
-    sa, se = float(theta_dot[0]), float(theta_dot[1])
-    d, d1, D2 = _between_pieces(limits)
-    lam_beta0 = (d + float(d1 @ x_b)) * alpha
-    lam_beta1 = (d1 + D2 @ x_b) * alpha
-    lam_sa = alpha**2 - sa
-    if limits.p_w:
-        lam_beta2 = np.linalg.solve(limits.C3, x_w_dev) * e
-    else:
-        lam_beta2 = np.empty(0)
-    lam_se = e**2 - se
-    return assemble(limits.p_b, limits.p_w, lam_beta0, lam_beta1, lam_sa,
-                    lam_beta2, lam_se)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command line interface: fit, ci, simulate, verify.
+"""Command line interface: fit, ci, simulate.
 
 CSV input schema: a header row with columns ``cluster`` (string label),
 ``y`` (response), ``b_1..b_pb`` (between covariates, constant inside a
@@ -29,25 +29,14 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .asymptotics import (
-    CovariateLimits,
-    MomentEstimates,
-    confidence_intervals,
-    estimate_moments,
-    matrix_A,
-    matrix_B,
-    matrix_C,
-    normal_quantile,
-)
+from .asymptotics import CovariateLimits, confidence_intervals, estimate_moments
 from .errors import InvalidConfig, NermError, ParseError
 from .estimation import FitResult, fit_ml, fit_reml
-from .likelihood import log_likelihood, score
 from .model import (
     ClusteredDataset,
     ParameterVector,
     center_within_covariates,
     parameter_names,
-    sufficient_stats,
 )
 from .simulation import (
     MonteCarloSummary,
@@ -65,7 +54,6 @@ __all__ = [
     "cmd_fit",
     "cmd_ci",
     "cmd_simulate",
-    "cmd_verify",
     "main",
 ]
 
@@ -399,151 +387,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: built-in cross checks
-# ---------------------------------------------------------------------------
-
-def _dense_loglik(ds, omega):
-    """Independent dense-covariance likelihood route used only for checking."""
-    resid = ds.y - omega.beta0 - ds.x_w @ omega.beta2 \
-        - np.repeat(ds.x_b @ omega.beta1, ds.cluster_sizes)
-    total = 0.0
-    for lo, hi in zip(ds.offsets[:-1], ds.offsets[1:]):
-        m = int(hi - lo)
-        cov = omega.sigma_e_sq * np.eye(m) \
-            + omega.sigma_alpha_sq * np.ones((m, m))
-        sign, logdet = np.linalg.slogdet(cov)
-        r = resid[lo:hi]
-        total += -0.5 * m * math.log(2.0 * math.pi) - 0.5 * logdet \
-            - 0.5 * float(r @ np.linalg.solve(cov, r))
-    return total
-
-
-def _verify_dataset(rng, g=5, m_max=6, p_b=1, p_w=1):
-    sizes = rng.integers(1, m_max + 1, size=g)
-    sizes[0] = max(sizes[0], 2)
-    omega = ParameterVector(rng.normal(), rng.normal(size=p_b),
-                            rng.uniform(0.4, 1.6), rng.normal(size=p_w),
-                            rng.uniform(0.4, 1.6))
-    ys, xbs, xws = [], [], []
-    for m in sizes:   # per cluster, so the draws keep their order
-        xbs.append(rng.normal(size=p_b))
-        xws.append(rng.normal(size=(m, p_w)))
-        ys.append(omega.beta0 + xbs[-1] @ omega.beta1 + xws[-1] @ omega.beta2
-                  + rng.normal(scale=math.sqrt(omega.sigma_alpha_sq))
-                  + rng.normal(scale=math.sqrt(omega.sigma_e_sq), size=m))
-    ds = ClusteredDataset(y=np.concatenate(ys), x_w=np.concatenate(xws),
-                          x_b=np.array(xbs), offsets=np.r_[0, np.cumsum(sizes)],
-                          ids=[f"c{i}" for i in range(g)])
-    return ds, omega
-
-
-def _check_likelihood_oracle(rng):
-    worst = 0.0
-    for _ in range(25):
-        ds, om1 = _verify_dataset(rng)
-        _, om2 = _verify_dataset(rng)
-        stats = sufficient_stats(ds)
-        mine = log_likelihood(stats, om1) - log_likelihood(stats, om2)
-        dense = _dense_loglik(ds, om1) - _dense_loglik(ds, om2)
-        worst = max(worst, abs(mine - dense) / max(1.0, abs(dense)))
-    return worst < 1e-8, f"max relative deviation {worst:.2e} (tol 1e-8)"
-
-
-def _check_gradients(rng):
-    worst = 0.0
-    for _ in range(5):
-        ds, om = _verify_dataset(rng)
-        stats = sufficient_stats(ds)
-        flat = om.flatten()
-        p_b, p_w = om.p_b, om.p_w
-        analytic = score(stats, om)
-        for k in range(flat.size):
-            h = 1e-6 * (1.0 + abs(flat[k]))
-            up, dn = flat.copy(), flat.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (log_likelihood(stats, ParameterVector.from_flat(up, p_b, p_w))
-                  - log_likelihood(stats, ParameterVector.from_flat(dn, p_b, p_w))) \
-                / (2.0 * h)
-            worst = max(worst, abs(fd - analytic[k]) / max(1.0, abs(analytic[k])))
-    return worst < 1e-5, f"max relative deviation {worst:.2e} (tol 1e-5)"
-
-
-def _check_sandwich(rng):
-    worst = 0.0
-    for _ in range(10):
-        p_b, p_w = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        c1 = rng.normal(size=p_b)
-        base = rng.normal(size=(p_b, p_b))
-        C2 = np.outer(c1, c1) + base @ base.T + np.eye(p_b)
-        base_w = rng.normal(size=(p_w, p_w))
-        C3 = base_w @ base_w.T + np.eye(p_w)
-        limits = CovariateLimits(c1=c1, C2=C2, C3=C3)
-        theta = (rng.uniform(0.4, 2.0), rng.uniform(0.4, 2.0))
-        mom = MomentEstimates(
-            mu3_alpha=rng.normal(),
-            mu4_alpha=theta[0]**2 * rng.uniform(1.2, 5.0),
-            mu3_e=rng.normal(),
-            mu4_e=theta[1]**2 * rng.uniform(1.2, 5.0),
-        )
-        A = matrix_A(limits, theta, mom)
-        B = matrix_B(limits, theta)
-        C = matrix_C(limits, theta, mom)
-        sandwich = np.linalg.solve(B, np.linalg.solve(B, A).T)
-        worst = max(worst, float(np.max(np.abs(C - sandwich))))
-    return worst < 1e-10, f"max absolute deviation {worst:.2e} (tol 1e-10)"
-
-
-def _check_quantile():
-    refs = [
-        (0.975, 1.9599639845400542355),
-        (0.995, 2.575829303548900761),
-        (0.5, 0.0),
-        (1e-8, -5.6120012441747887315),
-        (0.9999, 3.7190164854556805644),
-    ]
-    worst = max(abs(normal_quantile(p) - v) for p, v in refs)
-    return worst < 1e-9, f"max absolute deviation {worst:.2e} (tol 1e-9)"
-
-
-def _check_coverage_smoke():
-    omega = ParameterVector(0.2, np.array([0.5]), 1.0, np.array([0.5]), 1.0)
-    sim = SimConfig(
-        g=40, cluster_sizes=10, true_omega=omega,
-        covariate_model=RandomCovariates(
-            mu_b=np.array([0.5]), Sigma_b=np.eye(1), mu_w=np.zeros(1),
-            Upsilon_w=0.25 * np.eye(1), Sigma_w=np.eye(1)),
-        seed=20260815, replications=200, gamma=0.05,
-    )
-    summary = run_replications(sim)
-    c1 = summary.coverage["beta1[0]"]
-    c2 = summary.coverage["beta2[0]"]
-    ok = 0.85 <= c1 <= 1.0 and 0.85 <= c2 <= 1.0 and summary.n_failed == 0
-    return ok, f"beta1 coverage {c1:.3f}, beta2 coverage {c2:.3f} (smoke band 0.85..1)"
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    """Run the built-in cross checks and print one line per check."""
-    rng = np.random.default_rng(20260815)
-    checks = [
-        ("likelihood_oracle", lambda: _check_likelihood_oracle(rng)),
-        ("score_gradient", lambda: _check_gradients(rng)),
-        ("sandwich_identity", lambda: _check_sandwich(rng)),
-        ("normal_quantile", _check_quantile),
-        ("coverage_smoke", _check_coverage_smoke),
-    ]
-    all_ok = True
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        all_ok &= ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return EXIT_OK if all_ok else EXIT_FAIL
-
-
-# ---------------------------------------------------------------------------
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
@@ -593,8 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma-alpha-sq", type=float)
     p_sim.add_argument("--sigma-e-sq", type=float)
     p_sim.add_argument("--workers", type=int)
-
-    add_parser("verify", help="run the built-in cross checks")
     return parser
 
 
@@ -604,8 +445,7 @@ def _run_config(ns: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    handlers = {"fit": cmd_fit, "ci": cmd_ci, "simulate": cmd_simulate,
-                "verify": cmd_verify}
+    handlers = {"fit": cmd_fit, "ci": cmd_ci, "simulate": cmd_simulate}
     try:
         cfg = _run_config(ns)
         return handlers[ns.command](cfg)

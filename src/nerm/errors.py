@@ -20,7 +20,6 @@ __all__ = [
     "InvalidDistribution",
     "InvalidConfig",
     "AllReplicatesFailed",
-    "InsufficientSequence",
     "ParseError",
 ]
 
@@ -92,10 +91,6 @@ class InvalidConfig(NermError):
 
 class AllReplicatesFailed(NermError):
     """Every Monte Carlo replicate raised; no summary can be formed."""
-
-
-class InsufficientSequence(NermError):
-    """A rate probe needs at least three strictly growing sizes."""
 
 
 # ---------------------------------------------------------------------------

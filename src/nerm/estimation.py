@@ -61,7 +61,6 @@ from .model import (
 __all__ = [
     "FitResult",
     "profile_beta",
-    "reml_criterion",
     "adjusted_score",
     "fit_ml",
     "fit_reml",
@@ -137,12 +136,6 @@ def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVecto
     return ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
 
 
-def reml_criterion(stats: SufficientStats, theta) -> float:
-    """Restricted likelihood objective l(beta_hat(theta), theta) - (1/2) log|Delta|."""
-    beta, _, logdet = _at_theta(stats, theta)
-    return log_likelihood(stats, _omega_at(stats, beta, theta)) - 0.5 * logdet
-
-
 def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
     """REML estimating function: the score with trace-corrected variance entries.
 
@@ -151,8 +144,8 @@ def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray
     dDelta/dsigma_alpha_sq = -Z' diag(tau^2) Z and dDelta/dsigma_e_sq =
     -Z' diag(tau^2/m) Z - W/sigma_e_sq^2 (W holds S_w_x in the within
     corner).  Its root is the REML estimator, and its variance entries
-    evaluated at the profiled coefficients are the gradient of
-    :func:`reml_criterion`.
+    evaluated at the profiled coefficients are the gradient of the
+    restricted objective l(beta_hat(theta), theta) - (1/2) log det Delta.
     """
     se = omega.sigma_e_sq
     _, L, _ = _at_theta(stats, omega.theta)

@@ -13,13 +13,14 @@ gap, and diagnostics for the cluster-mean error moments
                                            + (E e^4 - 3 sigma_e_sq^2) / m^3.
 
 Reproducibility contract: replicate k draws from the stream seeded by
-(seed, k), so results do not depend on how replicates are scheduled; an
+(seed, 0, k), so results do not depend on how replicates are scheduled; an
 optional process pool merely reorders the work, never the stream.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -34,7 +35,6 @@ from .asymptotics import (
 )
 from .errors import (
     AllReplicatesFailed,
-    InsufficientSequence,
     InvalidConfig,
     InvalidDistribution,
     NermError,
@@ -43,7 +43,6 @@ from .estimation import fit_ml, fit_reml
 from .model import (
     ClusteredDataset,
     ParameterVector,
-    parameter_layout,
     parameter_names,
 )
 
@@ -58,11 +57,8 @@ __all__ = [
     "RandomCovariates",
     "SimConfig",
     "MonteCarloSummary",
-    "RateReport",
     "generate_dataset",
     "run_replications",
-    "moment_diagnostics",
-    "rate_probe",
 ]
 
 
@@ -367,6 +363,19 @@ class SimConfig:
             for a, m in zip(cm.x_w, sizes):
                 if a.shape[0] != m:
                     raise InvalidConfig("fixed within covariates do not match sizes")
+        om = self.true_omega
+        for which, law, v in (("effect", self.alpha_dist, om.sigma_alpha_sq),
+                              ("error", self.e_dist, om.sigma_e_sq)):
+            try:   # a law that overflows here overflows the draws or diagnostics
+                ok = all(math.isfinite(f(v)) for f in
+                         (law.variance, law.moment3, law.moment4))
+            except (ArithmeticError, ValueError):
+                ok = False
+            if not ok:
+                raise InvalidConfig(
+                    f"{which} law {law} at variance {v}: its variance, third "
+                    f"or fourth moment is not a finite double"
+                )
 
     @property
     def sizes(self) -> np.ndarray:
@@ -384,14 +393,10 @@ class SimConfig:
         return int(self.sizes.sum())
 
 
-def _rng_for(cfg: SimConfig, *key: int) -> np.random.Generator:
-    return np.random.default_rng([int(cfg.seed) & 0xFFFFFFFF, *key])
-
-
 def _generate(cfg: SimConfig, replicate_index: int):
     """The dataset's arrays, as ClusteredDataset keywords, and the
     per-cluster mean errors."""
-    rng = _rng_for(cfg, 0, replicate_index)
+    rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFF, 0, replicate_index])
     om = cfg.true_omega
     sizes = cfg.sizes
     if cfg.covariate_model is not None:
@@ -586,8 +591,9 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
     Args:
         cfg: study configuration.
         max_workers: largest process pool size, at least 1; the pool never
-            exceeds the number of replicates, and results are identical for
-            any value because every replicate owns its seed-derived stream.
+            exceeds the number of replicates or of CPUs, and results are
+            identical for any value because every replicate owns its
+            seed-derived stream.
 
     Returns:
         MonteCarloSummary over all replicates.
@@ -599,7 +605,7 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
     if max_workers < 1:
         raise InvalidConfig(f"max_workers must be >= 1, got {max_workers}")
     indices = range(cfg.replications)
-    workers = min(max_workers, cfg.replications)
+    workers = min(max_workers, cfg.replications, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [cfg] * cfg.replications,
@@ -625,103 +631,4 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
             cfg.e_dist, cfg.true_omega.sigma_e_sq),
         gamma=cfg.gamma,
         seed=cfg.seed,
-    )
-
-
-def moment_diagnostics(cfg: SimConfig) -> dict:
-    """Simulate errors only and test the four cluster-mean moment identities.
-
-    Uses cfg.replications fresh draws of each cluster's mean error (one
-    batch per distinct cluster size) from a dedicated stream, so it never
-    perturbs the replication streams.  Returns the same nested structure
-    as ``MonteCarloSummary.ebar_moments``:
-    size -> {mean, second, third, fourth} -> {empirical, expected, mc_se,
-    zscore}.
-    """
-    rng = _rng_for(cfg, 1)
-    sizes = cfg.sizes
-    ebar = {}
-    for m in np.unique(sizes):
-        count = int(np.sum(sizes == m)) * cfg.replications
-        draws = cfg.e_dist.sample(rng, (count, int(m)),
-                                  cfg.true_omega.sigma_e_sq)
-        ebar[m] = draws.mean(axis=1)[None, :]   # one batch, one row
-    return _diagnose_ebar(ebar, cfg.e_dist, cfg.true_omega.sigma_e_sq)
-
-
-# ---------------------------------------------------------------------------
-# convergence-rate probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateReport:
-    """Log-log regression of estimator spread on sample counts.
-
-    root-g consistency of the between slope shows as slope_beta1 near -1/2
-    against g; root-n consistency of the within slope as slope_beta2 near
-    -1/2 against n.
-    """
-
-    g_values: list
-    n_values: list
-    sd_beta1: list
-    sd_beta2: list
-    slope_beta1: float
-    slope_beta2: float
-
-
-def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:
-    x = x - x.mean()
-    return float((x @ (y - y.mean())) / (x @ x))
-
-
-def rate_probe(cfg_sequence: Sequence[SimConfig],
-               max_workers: int = 1) -> RateReport:
-    """Estimate convergence rates for the leading beta1 and beta2 entries.
-
-    Args:
-        cfg_sequence: at least three configurations with strictly
-            increasing g and n, each with p_b >= 1 and p_w >= 1.
-
-    Returns:
-        RateReport with empirical SDs and fitted log-log slopes.
-
-    Raises:
-        InsufficientSequence: fewer than three sizes or not strictly growing.
-        InvalidConfig: a configuration lacks between or within covariates.
-    """
-    cfgs = list(cfg_sequence)
-    if len(cfgs) < 3:
-        raise InsufficientSequence(
-            f"need at least 3 growing sizes, got {len(cfgs)}"
-        )
-    gs = [c.g for c in cfgs]
-    ns = [c.n for c in cfgs]
-    if any(b <= a for a, b in zip(gs, gs[1:])) \
-            or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise InsufficientSequence(
-            "sizes must grow strictly in both g and n along the sequence"
-        )
-    for c in cfgs:
-        if c.true_omega.p_b < 1 or c.true_omega.p_w < 1:
-            raise InvalidConfig(
-                "rate probe needs at least one between and one within covariate"
-            )
-    sd1, sd2 = [], []
-    for c in cfgs:
-        summary = run_replications(c, max_workers=max_workers)
-        ests = summary.omega_ml[summary.interior]
-        if len(ests) < 2:
-            raise InsufficientSequence(
-                f"configuration g={c.g}, n={c.n}: only {len(ests)} of "
-                f"{c.replications} replicates are interior; a spread needs 2"
-            )
-        _, _, i1, _, i2, _ = parameter_layout(c.true_omega.p_b, c.true_omega.p_w)
-        sd1.append(float(np.std(ests[:, i1.start], ddof=1)))   # first beta1 entry
-        sd2.append(float(np.std(ests[:, i2.start], ddof=1)))   # first beta2 entry
-    slope1 = _ls_slope(np.log(np.asarray(gs, dtype=float)), np.log(np.asarray(sd1)))
-    slope2 = _ls_slope(np.log(np.asarray(ns, dtype=float)), np.log(np.asarray(sd2)))
-    return RateReport(
-        g_values=gs, n_values=ns, sd_beta1=sd1, sd_beta2=sd2,
-        slope_beta1=slope1, slope_beta2=slope2,
     )

@@ -1,25 +1,43 @@
-"""Shared oracles and builders for the test suite.
+"""Shared oracles, builders and the paper's reference algebra for the
+test suite.
 
-Everything here deliberately avoids the library's own computational path:
+The oracles deliberately avoid the library's own computational path:
 sufficient statistics via naive double loops, the log-likelihood via a dense
 per-cluster multivariate normal density, derivatives via central finite
 differences.  Agreement between these and the package is what the tests
 assert, so none of these oracles may ever call into the code under test
-except to construct plain data containers.  The one exception is
-:func:`score_jacobian_rows`, a test utility that composes the library's
-``score_jacobian`` row by row.  Per-cluster records (:class:`Cluster`) are
-packed into, and unpacked from, the library's flat dataset arrays here.
+except to construct plain data containers.  Per-cluster records
+(:class:`Cluster`) are packed into, and unpacked from, the library's flat
+dataset arrays here.
+
+The reference algebra is the paper's construction of the pieces the library
+only uses in closed form: the limit matrices A and B (whose sandwich
+B^-1 A B^-1 the library's ``matrix_C`` must equal), the score derivative
+and its expectation, the finite-design B_n, the REML criterion and the
+cluster-mean moment diagnostics.  These build on the library's public
+layout, ``tau``, ``profile_beta`` and ``log_likelihood``, never on its
+private helpers; the tests check them against finite differences, Monte
+Carlo averages and each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from nerm.asymptotics import CovariateLimits, MomentEstimates, normalization
 from nerm.errors import RaggedCovariates
-from nerm.likelihood import score_jacobian
-from nerm.model import ClusteredDataset, ParameterVector
+from nerm.estimation import profile_beta
+from nerm.likelihood import log_likelihood
+from nerm.model import (
+    ClusteredDataset,
+    ParameterVector,
+    SufficientStats,
+    parameter_layout,
+    tau,
+)
 
 # ---------------------------------------------------------------------------
 # dataset builders
@@ -315,8 +333,138 @@ def fd_jacobian(f, x, scale=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# mean-value Jacobian (built on the library's score_jacobian, not an oracle)
+# the paper's reference algebra
 # ---------------------------------------------------------------------------
+
+
+def matrix_B(limits: CovariateLimits, theta_dot) -> np.ndarray:
+    """Limit of the normalized negative expected score derivative.
+
+    Block diagonal: [[1, c1'],[c1, C2]]/sigma_alpha_sq over (beta0, beta1),
+    then 1/(2 sigma_alpha_sq^2), then C3/sigma_e_sq, then 1/(2 sigma_e_sq^2).
+    """
+    sa, se = float(theta_dot[0]), float(theta_dot[1])
+    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
+    B = np.zeros((dim, dim))
+    B[i0, i0] = 1.0 / sa
+    B[i0, i1] = limits.c1 / sa
+    B[i1, i0] = limits.c1 / sa
+    B[i1, i1] = limits.C2 / sa
+    B[ia, ia] = 1.0 / (2.0 * sa * sa)
+    B[i2, i2] = limits.C3 / se
+    B[ie, ie] = 1.0 / (2.0 * se * se)
+    return B
+
+
+def matrix_A(limits: CovariateLimits, theta_dot,
+             moments: MomentEstimates) -> np.ndarray:
+    """Limit covariance of the normalized score at the truth.
+
+    Equals :func:`matrix_B` except in the variance rows, which carry
+    E alpha^3, E alpha^4 - sigma_alpha_sq^2 and E e^4 - sigma_e_sq^2; under
+    normal moments the two matrices coincide.
+    """
+    sa, se = float(theta_dot[0]), float(theta_dot[1])
+    dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
+    A = matrix_B(limits, theta_dot)
+    coupling = moments.mu3_alpha / (2.0 * sa**3)
+    A[i0, ia] = A[ia, i0] = coupling
+    A[i1, ia] = limits.c1 * coupling
+    A[ia, i1] = limits.c1 * coupling
+    A[ia, ia] = (moments.mu4_alpha - sa * sa) / (4.0 * sa**4)
+    A[ie, ie] = (moments.mu4_e - se * se) / (4.0 * se**4)
+    return A
+
+
+def normal_theory(sigma_alpha_sq: float, sigma_e_sq: float) -> MomentEstimates:
+    """Moments a normal law would have; handy for law-level matrices."""
+    return MomentEstimates(0.0, 3.0 * sigma_alpha_sq**2, 0.0, 3.0 * sigma_e_sq**2)
+
+
+def _jacobian(stats, omega, r, r_sq, Q, u) -> np.ndarray:
+    """Derivative matrix of the score in the canonical order.
+
+    Written in the order (Z columns, sigma_alpha_sq, sigma_e_sq), as the
+    library writes the score.  The observed and the expected matrix differ
+    only in what stands in for the random pieces: the mean residual ``r``,
+    its square ``r_sq``, Q(beta2) (``Q``) and S_w_xy - S_w_x beta2 (``u``).
+    With d_i = (1, 1/m_i), the derivative of tau_i in the variances is
+    -tau_i^2 d_i.
+    """
+    m = stats.m.astype(float)
+    t, d = tau(omega.theta, m), np.stack((np.ones_like(m), 1.0 / m))
+    Z, se = stats.Z, omega.sigma_e_sq
+    k, q = 1 + stats.p_b, Z.shape[1]
+    J = np.empty((q + 2, q + 2))
+    J[:q, :q] = -(Z.T * t) @ Z
+    J[k:q, k:q] -= stats.S_w_x / se
+    J[:q, q:] = -Z.T @ (d * (t * t * r)).T
+    J[k:q, q + 1] -= u / (se * se)
+    J[q:, :q] = J[:q, q:].T
+    J[q:, q:] = (d * (0.5 * t * t - t**3 * r_sq)) @ d.T
+    J[q + 1, q + 1] += 0.5 * (stats.n - stats.g) / (se * se) - Q / se**3
+    dim, i0, i1, ia, i2, ie = parameter_layout(stats.p_b, stats.p_w)
+    pos = np.arange(dim)
+    c = np.r_[i0, pos[i1], pos[i2], ia, ie]
+    out = np.empty_like(J)
+    out[np.ix_(c, c)] = J
+    return out
+
+
+def _Q(stats: SufficientStats, beta2: np.ndarray) -> float:
+    return float(stats.S_w_y - 2.0 * (stats.S_w_xy @ beta2)
+                 + beta2 @ stats.S_w_x @ beta2)
+
+
+def score_jacobian(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
+    """Derivative matrix of the score with respect to omega, in closed form.
+
+    Symmetric (it is the Hessian of the log-likelihood) and, at a converged
+    interior fit, negative definite.
+    """
+    r = stats.ybar - stats.Z @ omega.beta
+    return _jacobian(stats, omega, r, r * r, _Q(stats, omega.beta2),
+                     stats.S_w_xy - stats.S_w_x @ omega.beta2)
+
+
+def expected_score_jacobian(stats: SufficientStats, omega: ParameterVector,
+                            omega_dot: ParameterVector) -> np.ndarray:
+    """Expectation of ``score_jacobian(omega)`` when omega_dot generated the data.
+
+    Uses E r_i = z_i'(beta_dot - beta) and E r_i^2 = {z_i'(beta_dot -
+    beta)}^2 + 1/tau_dot_i; the within cross products satisfy E S_w_xy =
+    S_w_x beta2_dot and E Q(beta2) = (beta2_dot - beta2)' S_w_x (beta2_dot -
+    beta2) + (n - g) sigma_e_sq_dot.  The covariates are treated as fixed.
+    """
+    mean_r = stats.Z @ (omega_dot.beta - omega.beta)
+    d2 = omega_dot.beta2 - omega.beta2
+    exp_Q = float(d2 @ stats.S_w_x @ d2) \
+        + (stats.n - stats.g) * omega_dot.sigma_e_sq
+    return _jacobian(stats, omega, mean_r,
+                     mean_r * mean_r + 1.0 / tau(omega_dot.theta, stats.m),
+                     exp_Q, stats.S_w_x @ d2)
+
+
+def matrix_Bn(stats: SufficientStats, theta_dot) -> np.ndarray:
+    """Finite-sample analogue of B for the design at hand.
+
+    Equals -K^(-1/2) E psi'(omega_dot) K^(-1/2) and converges to
+    :func:`matrix_B` as g and the smallest cluster grow.  The coefficients
+    of omega_dot cancel in E psi' at omega = omega_dot, so zeros stand in.
+    """
+    omega_dot = ParameterVector(0.0, np.zeros(stats.p_b), theta_dot[0],
+                                np.zeros(stats.p_w), theta_dot[1])
+    J = expected_score_jacobian(stats, omega_dot, omega_dot)
+    k = np.sqrt(normalization(stats.g, stats.n, stats.p_b, stats.p_w))
+    return -J / np.outer(k, k)
+
+
+def reml_criterion(stats: SufficientStats, theta) -> float:
+    """Restricted likelihood objective l(beta_hat(theta), theta) - (1/2) log|Delta|."""
+    beta, delta = profile_beta(stats, theta)
+    k = 1 + stats.p_b
+    omega = ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
+    return log_likelihood(stats, omega) - 0.5 * np.linalg.slogdet(delta)[1]
 
 
 def score_jacobian_rows(stats, omegas) -> np.ndarray:
@@ -332,6 +480,42 @@ def score_jacobian_rows(stats, omegas) -> np.ndarray:
     out = np.empty((dim, dim))
     for k, om in enumerate(omegas):
         out[k] = score_jacobian(stats, om)[k]
+    return out
+
+
+def moment_diagnostics(cfg) -> dict:
+    """Simulate errors only and test the four cluster-mean moment identities
+
+        E ebar = 0,                 E ebar^2 = sigma_e_sq / m,
+        E ebar^3 = E e^3 / m^2,     E ebar^4 = 3 sigma_e_sq^2 / m^2
+                                               + (E e^4 - 3 sigma_e_sq^2) / m^3.
+
+    Uses cfg.replications fresh draws of each cluster's mean error (one
+    batch per distinct cluster size) from the stream seeded by (seed, 1),
+    which no replicate of a run uses.  Returns the structure of
+    ``MonteCarloSummary.ebar_moments``: size -> {mean, second, third,
+    fourth} -> {empirical, expected, mc_se, zscore}.
+    """
+    rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFF, 1])
+    law, var = cfg.e_dist, cfg.true_omega.sigma_e_sq
+    se, m3, m4 = law.variance(var), law.moment3(var), law.moment4(var)
+    sizes = cfg.sizes
+    out = {}
+    for m in np.unique(sizes):
+        count = int(np.sum(sizes == m)) * cfg.replications
+        ebar = law.sample(rng, (count, int(m)), var).mean(axis=1)
+        sums = [np.sum(ebar**k) for k in range(1, 9)]
+        mf = float(m)
+        expected = (0.0, se / mf, m3 / mf**2,
+                    3.0 * se * se / mf**2 + (m4 - 3.0 * se * se) / mf**3)
+        entry = {}
+        for k, key in enumerate(("mean", "second", "third", "fourth"), start=1):
+            emp = sums[k - 1] / count
+            mc_se = math.sqrt(max(sums[2 * k - 1] / count - emp * emp, 0.0) / count)
+            z = (emp - expected[k - 1]) / mc_se if mc_se > 0 else 0.0
+            entry[key] = {"empirical": float(emp), "expected": float(expected[k - 1]),
+                          "mc_se": float(mc_se), "zscore": float(z)}
+        out[int(m)] = entry
     return out
 
 

@@ -20,21 +20,13 @@ import time
 import numpy as np
 import pytest
 
-from nerm.asymptotics import (
-    CovariateLimits,
-    MomentEstimates,
-    matrix_A,
-    matrix_B,
-    matrix_Bn,
-    matrix_C,
-)
-from nerm.estimation import fit_ml, fit_reml, profile_beta, reml_criterion
-from nerm.likelihood import expected_score_jacobian, log_likelihood, score, score_jacobian
+from nerm.asymptotics import CovariateLimits, MomentEstimates, matrix_C
+from nerm.estimation import fit_ml, fit_reml, profile_beta
+from nerm.likelihood import log_likelihood, score
 from nerm.model import ParameterVector, sufficient_stats
 from nerm.simulation import (
     RandomCovariates,
     SimConfig,
-    moment_diagnostics,
     parse_distribution,
     run_replications,
 )
@@ -42,11 +34,19 @@ from nerm.simulation import (
 from .helpers import (
     clusters,
     dense_mvn_loglik,
+    expected_score_jacobian,
     fd_gradient,
     fd_jacobian,
     make_dataset,
+    matrix_A,
+    matrix_B,
+    matrix_Bn,
+    moment_diagnostics,
+    normal_theory,
     random_dataset,
     random_omega,
+    reml_criterion,
+    score_jacobian,
 )
 
 
@@ -256,7 +256,7 @@ def test_criterion_04_sandwich_identity(capsys):
     # skewed/kurtotic law must break the equality
     limits = CovariateLimits(c1=[0.3], C2=[[1.2]], C3=[[0.8]])
     theta = (0.7, 1.3)
-    normal = MomentEstimates.normal_theory(*theta)
+    normal = normal_theory(*theta)
     gap_normal = float(np.max(np.abs(
         matrix_A(limits, theta, normal) - matrix_B(limits, theta))))
     skewed = MomentEstimates(0.5, 3.0 * theta[0] ** 2, 0.0, 3.0 * theta[1] ** 2)

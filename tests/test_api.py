@@ -1,17 +1,28 @@
-"""Guard on the public API: no function takes both a dataset and its
-sufficient statistics.
+"""Guards on the public API.
 
-The statistics are cached on the dataset (``sufficient_stats(ds)``), so a
+No function takes both a dataset and its sufficient statistics.  The
+statistics are cached on the dataset (``sufficient_stats(ds)``), so a
 signature with both ``ds`` and ``stats`` lets a caller pass a mismatched
 pair.  Functions that need rows take the dataset alone and read its
 statistics; the others take the statistics alone.
+
+Nothing is exported that only the tests use.  Every public name has a
+caller in the library itself, or is one of the documented entry points
+listed in the README.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import nerm
+
+# Public names the library never calls itself: what a user or a script
+# starts from.  The README names the same list.
+ENTRY_POINTS = {"fit_ml", "fit_reml", "profile_beta", "generate_dataset",
+                "write_dataset_csv", "main"}
 
 
 def _public_callables():
@@ -39,3 +50,38 @@ def test_no_public_signature_takes_both_dataset_and_statistics():
     assert "nerm.asymptotics.CovariateLimits.from_dataset" in seen
     assert "nerm.likelihood.log_likelihood" in seen
     assert offenders == []
+
+
+def _public_names():
+    """(module, name) for every name in ``nerm.__all__`` and in the
+    ``__all__`` of each nerm module, submodules themselves left out."""
+    modules = [nerm] + [importlib.import_module(f"nerm.{info.name}")
+                        for info in pkgutil.iter_modules(nerm.__path__)]
+    for module in modules:
+        for name in module.__all__:
+            if not inspect.ismodule(getattr(module, name)):
+                yield module.__name__, name
+
+
+def _names_used_in_the_library():
+    """Every name the package's modules read, apart from ``__init__.py``:
+    bare names and attributes, but not definitions, imports or strings."""
+    used = set()
+    for path in Path(nerm.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller_or_is_an_entry_point():
+    exported = set(_public_names())
+    assert ENTRY_POINTS <= {name for _, name in exported}
+    used = _names_used_in_the_library()
+    unused = sorted(f"{module}.{name}" for module, name in exported
+                    if name not in used and name not in ENTRY_POINTS)
+    assert unused == []

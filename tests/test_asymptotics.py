@@ -1,9 +1,10 @@
-"""Limit matrices, influence functions, quantiles and intervals.
+"""The limit covariance, quantiles, plug-in moments and intervals.
 
 Reference quantile values were frozen from a 50-digit computation with an
 independent arbitrary-precision library.  The sandwich identity C = B^-1 A
-B^-1 is asserted numerically rather than trusted from the closed form, and
-the finite-sample matrix is tied back to the expected score derivative.
+B^-1 is asserted numerically, with A and B built in the tests rather than
+trusted from the closed form, and the finite-sample matrix is tied back to
+the expected score derivative.
 """
 
 import math
@@ -17,10 +18,6 @@ from nerm.asymptotics import (
     MomentEstimates,
     confidence_intervals,
     estimate_moments,
-    influence,
-    matrix_A,
-    matrix_B,
-    matrix_Bn,
     matrix_C,
     normal_quantile,
     normalization,
@@ -32,7 +29,6 @@ from nerm.errors import (
     RaggedCovariates,
 )
 from nerm.estimation import FitResult, fit_ml
-from nerm.likelihood import expected_score_jacobian
 from nerm.model import (
     ParameterVector,
     parameter_layout,
@@ -40,7 +36,15 @@ from nerm.model import (
     sufficient_stats,
 )
 
-from .helpers import make_dataset, random_dataset
+from .helpers import (
+    expected_score_jacobian,
+    make_dataset,
+    matrix_A,
+    matrix_B,
+    matrix_Bn,
+    normal_theory,
+    random_dataset,
+)
 
 # Phi^-1 references, 20 significant digits each.
 QUANTILE_REFERENCES = [
@@ -114,7 +118,7 @@ def test_no_covariate_matrices_by_hand():
     theta = (1.0, 1.0)
     B = matrix_B(limits, theta)
     assert np.allclose(B, np.diag([1.0, 0.5, 0.5]))
-    moments = MomentEstimates.normal_theory(1.0, 1.0)
+    moments = normal_theory(1.0, 1.0)
     assert np.allclose(matrix_A(limits, theta, moments), B)
     C = matrix_C(limits, theta, moments)
     assert np.allclose(C, np.diag([1.0, 2.0, 2.0]))
@@ -126,7 +130,7 @@ def test_A_equals_B_exactly_under_normal_moments():
     for _ in range(5):
         limits = _random_limits(rng, 2, 2)
         theta = (rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
-        A = matrix_A(limits, theta, MomentEstimates.normal_theory(*theta))
+        A = matrix_A(limits, theta, normal_theory(*theta))
         assert np.allclose(A, matrix_B(limits, theta), atol=1e-12)
 
 
@@ -152,7 +156,7 @@ def test_centered_between_design_gives_plain_inverse():
     C2 = np.array([[2.0, 0.3], [0.3, 1.0]])
     limits = CovariateLimits(c1=np.zeros(2), C2=C2, C3=np.eye(1))
     sa = 1.0
-    C = matrix_C(limits, (sa, 1.0), MomentEstimates.normal_theory(sa, 1.0))
+    C = matrix_C(limits, (sa, 1.0), normal_theory(sa, 1.0))
     _, i0, i1, _, _, _ = parameter_layout(2, 1)
     assert C[i0, i0] / sa == pytest.approx(1.0)                    # d
     assert np.allclose(C[i0, i1] / sa, 0.0)                        # d1
@@ -163,7 +167,7 @@ def test_constant_between_covariate_is_degenerate():
     # x_b identically 2: c1 = 2, C2 = 4, so 1 - c1' C2^-1 c1 = 0
     limits = CovariateLimits(c1=[2.0], C2=[[4.0]], C3=np.empty((0, 0)))
     with pytest.raises(DegenerateBetweenDesign):
-        matrix_C(limits, (1.0, 1.0), MomentEstimates.normal_theory(1.0, 1.0))
+        matrix_C(limits, (1.0, 1.0), normal_theory(1.0, 1.0))
 
 
 def test_limits_reject_indefinite_inputs():
@@ -246,44 +250,6 @@ def test_Bn_approaches_B_for_balanced_deterministic_design():
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.05
     assert gaps[0] > 10.0 * gaps[2]
-
-
-# ---------------------------------------------------------------------------
-# influence functions
-# ---------------------------------------------------------------------------
-
-def test_influence_closed_form_point():
-    limits = CovariateLimits(c1=[0.0], C2=[[1.0]], C3=[[2.0]])
-    lam = influence(2.0, -1.0, [3.0], [0.5], limits, (1.0, 1.0))
-    # d = 1, d1 = 0, D2 = 1: lam = (alpha, x_b alpha, alpha^2 - 1,
-    #                               C3^-1 x_w_dev e, e^2 - 1)
-    assert np.allclose(lam, [2.0, 6.0, 3.0, -0.25, 0.0])
-
-
-def test_influence_has_mean_zero_under_the_truth():
-    rng = np.random.default_rng(45)
-    theta = (0.9, 1.6)
-    c1 = np.array([0.4])
-    C2 = np.array([[1.3]])
-    C3 = np.array([[0.7]])
-    limits = CovariateLimits(c1=c1, C2=C2, C3=C3)
-    reps = 20_000
-    acc = np.zeros(5)
-    acc2 = np.zeros(5)
-    sd_b = math.sqrt(C2[0, 0] - c1[0]**2)
-    for _ in range(reps):
-        lam = influence(
-            alpha=rng.normal(scale=math.sqrt(theta[0])),
-            e=rng.normal(scale=math.sqrt(theta[1])),
-            x_b=c1 + rng.normal(scale=sd_b, size=1),
-            x_w_dev=rng.normal(scale=math.sqrt(C3[0, 0]), size=1),
-            limits=limits, theta_dot=theta,
-        )
-        acc += lam
-        acc2 += lam * lam
-    mean = acc / reps
-    se = np.sqrt((acc2 / reps - mean**2) / reps)
-    assert np.all(np.abs(mean) <= 4.0 * se + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +408,7 @@ def test_every_interval_reads_diag_C_over_K():
 
 def test_interval_rejects_limits_of_another_design():
     limits = CovariateLimits(c1=[0.0], C2=[[1.0]], C3=np.empty((0, 0)))
-    moments = MomentEstimates.normal_theory(1.0, 4.0)
+    moments = normal_theory(1.0, 4.0)
     with pytest.raises(RaggedCovariates):   # fit has p_b = 0, p_w = 1
         confidence_intervals(_interval_fixture_fit(), limits, moments, 0.05)
 

@@ -1,4 +1,4 @@
-"""CSV parsing, the four subcommands, serialization, exit codes."""
+"""CSV parsing, the three subcommands, serialization, exit codes."""
 
 import csv
 import json
@@ -323,11 +323,11 @@ def _strict_json(path):
 
 
 def test_json_output_writes_non_finite_numbers_as_null(tmp_path):
-    # lognormal(13.3) errors overflow every fit: coverage and the
+    # zero errors put every replicate on the floor: coverage and the
     # covariance are NaN, written as null
     out = str(tmp_path / "sim.json")
-    assert main(["simulate", "--g", "10", "--m", "3", "--reps", "3",
-                 "--sigma-e-sq", "1e10", "--e-dist", "lognormal(13.3)",
+    assert main(["simulate", "--g", "10", "--m", "4", "--reps", "3",
+                 "--e-dist", "zero", "--seed", "4",
                  "--output", out]) == EXIT_FLAGGED
     report = _strict_json(out)
     assert set(report["coverage"].values()) == {None}
@@ -411,6 +411,17 @@ def test_simulate_flags_boundary_runs(tmp_path):
     assert report["n_boundary"] == 3
 
 
+def test_the_three_subcommands_are_all_there_is(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{fit,ci,simulate}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2   # argparse's usage error
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+
 def test_simulate_rejects_bad_flags(tmp_path, capsys):
     assert main(["simulate", "--reps", "0"]) == EXIT_FAIL
     assert main(["simulate", "--e-dist", "cauchy"]) == EXIT_FAIL
@@ -419,18 +430,14 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys):
     assert main(["simulate", "--p-w", "-1"]) == EXIT_FAIL
     assert main(["simulate", "--workers", "0"]) == EXIT_FAIL
     assert main(["simulate", "--workers", "-1"]) == EXIT_FAIL
-    assert capsys.readouterr().err.count("error:") == 7
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-def test_verify_runs_all_checks(capsys):
-    assert main(["verify"]) == EXIT_OK
-    out = capsys.readouterr().out
-    lines = [ln for ln in out.splitlines() if ln.startswith("[")]
-    assert len(lines) >= 5
-    assert all(ln.startswith("[PASS]") for ln in lines)
-    assert any("likelihood_oracle" in ln for ln in lines)
-    assert any("coverage_smoke" in ln for ln in lines)
+    # laws whose variance, third or fourth moment overflows a double at
+    # the requested variance fail before any draw, without a traceback
+    for flags in (["--sigma-e-sq", "1e250", "--e-dist", "lognormal(13.3)"],
+                  ["--sigma-e-sq", "1e200", "--e-dist", "lognormal(13.3)"],
+                  ["--sigma-e-sq", "1e160"],
+                  ["--sigma-alpha-sq", "1e160", "--alpha-dist", "gamma(2)"]):
+        assert main(["simulate", "--g", "10", "--m", "3", "--reps", "20",
+                     "--seed", "4", *flags]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("error:") == len(err.splitlines()) == 11
+    assert err.count("is not a finite double") == 4

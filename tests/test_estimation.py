@@ -17,9 +17,8 @@ from nerm.estimation import (
     fit_ml,
     fit_reml,
     profile_beta,
-    reml_criterion,
 )
-from nerm.likelihood import log_likelihood, score, score_jacobian
+from nerm.likelihood import log_likelihood, score
 from nerm.model import ParameterVector, parameter_layout, sufficient_stats
 from nerm.simulation import (
     RandomCovariates,
@@ -37,6 +36,8 @@ from .helpers import (
     profiled_objective,
     random_dataset,
     random_omega,
+    reml_criterion,
+    score_jacobian,
 )
 
 TWO_CLUSTER = make_dataset([[1.0, 2.0], [3.0, 4.0]])

@@ -3,7 +3,9 @@
 The load-bearing comparisons are (a) likelihood differences against a dense
 multivariate normal density, (b) analytic derivatives against central finite
 differences, and (c) the expected derivative matrix against a Monte Carlo
-average over freshly simulated responses on a fixed design.
+average over freshly simulated responses on a fixed design.  The derivative
+matrix and its expectation are the paper's reference algebra in
+``tests/helpers.py``; the library fits without them.
 """
 
 import math
@@ -11,12 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from nerm.likelihood import (
-    expected_score_jacobian,
-    log_likelihood,
-    score,
-    score_jacobian,
-)
+from nerm.likelihood import log_likelihood, score
 from nerm.model import ParameterVector, sufficient_stats
 
 from .helpers import (
@@ -24,12 +21,14 @@ from .helpers import (
     close,
     clusters,
     dense_mvn_loglik,
+    expected_score_jacobian,
     fd_gradient,
     fd_jacobian,
     make_dataset,
     pack,
     random_dataset,
     random_omega,
+    score_jacobian,
     score_jacobian_rows,
 )
 

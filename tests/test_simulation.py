@@ -13,7 +13,6 @@ import pytest
 from nerm import simulation
 from nerm.errors import (
     AllReplicatesFailed,
-    InsufficientSequence,
     InvalidConfig,
     InvalidDistribution,
     SingularDelta,
@@ -29,14 +28,12 @@ from nerm.simulation import (
     ScaledT,
     SimConfig,
     generate_dataset,
-    moment_diagnostics,
     parse_distribution,
-    rate_probe,
     run_replications,
 )
 from nerm.simulation import _diagnose_ebar
 
-from .helpers import clusters
+from .helpers import clusters, moment_diagnostics
 
 
 def _plain_config(**kw):
@@ -274,6 +271,7 @@ def test_pool_is_never_larger_than_the_replicates(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr("nerm.simulation.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
     cfg = _plain_config(replications=3)
     alone = run_replications(cfg)
     pooled = run_replications(cfg, max_workers=500)
@@ -282,6 +280,13 @@ def test_pool_is_never_larger_than_the_replicates(monkeypatch):
     run_replications(cfg, max_workers=2)
     run_replications(_plain_config(replications=1), max_workers=8)
     assert sizes == [3, 2]   # one replicate runs without a pool
+    # nor larger than the CPUs: 5000 workers on four CPUs ask for four,
+    # and a machine that cannot count its CPUs gets no pool
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    run_replications(_plain_config(replications=6), max_workers=5000)
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    run_replications(cfg, max_workers=5000)
+    assert sizes == [3, 2, 4]
     for bad in (0, -2):
         with pytest.raises(InvalidConfig):
             run_replications(cfg, max_workers=bad)
@@ -398,57 +403,3 @@ def test_run_replications_carries_the_same_diagnostics():
     s = run_replications(cfg)
     assert set(s.ebar_moments) == {4}
     assert max(abs(cell["zscore"]) for cell in s.ebar_moments[4].values()) < 4.5
-
-
-# ---------------------------------------------------------------------------
-# rate probe
-# ---------------------------------------------------------------------------
-
-def _probe_config(g, m, reps=60):
-    return _plain_config(g=g, cluster_sizes=m, replications=reps, seed=7)
-
-
-def test_rate_probe_needs_a_growing_sequence():
-    with pytest.raises(InsufficientSequence):
-        rate_probe([_probe_config(10, 4), _probe_config(20, 4)])
-    with pytest.raises(InsufficientSequence):
-        rate_probe([_probe_config(10, 4), _probe_config(20, 4),
-                    _probe_config(20, 4)])
-    with pytest.raises(InsufficientSequence):
-        # g grows but n stalls
-        rate_probe([_probe_config(10, 8), _probe_config(20, 4),
-                    _probe_config(40, 2)])
-
-
-def test_rate_probe_requires_both_covariate_kinds():
-    om = ParameterVector(0.0, [], 1.0, [], 1.0)
-    cfgs = [SimConfig(g=k, cluster_sizes=4, true_omega=om, seed=1,
-                      replications=4) for k in (8, 16, 32)]
-    with pytest.raises(InvalidConfig):
-        rate_probe(cfgs)
-
-
-def test_rate_probe_needs_two_interior_replicates_per_size():
-    # zero effects and errors put every fit on the variance floor
-    floor = [_plain_config(g=g, cluster_sizes=4, replications=3,
-                           alpha_dist=Degenerate(), e_dist=Degenerate())
-             for g in (8, 16, 32)]
-    with pytest.raises(InsufficientSequence,
-                       match=r"^configuration g=8, n=32: only 0 of 3 replicates"):
-        rate_probe(floor)
-    # one replicate has no spread
-    with pytest.raises(InsufficientSequence,
-                       match=r"^configuration g=10, n=40: only 1 of 1 replicates"):
-        rate_probe([_probe_config(10, 4, reps=1), _probe_config(20, 4),
-                    _probe_config(40, 4)])
-
-
-def test_rate_probe_sees_shrinking_spread():
-    report = rate_probe([_probe_config(15, 4), _probe_config(30, 4),
-                         _probe_config(60, 4)])
-    assert report.g_values == [15, 30, 60]
-    assert report.sd_beta1[0] > report.sd_beta1[-1]
-    assert report.sd_beta2[0] > report.sd_beta2[-1]
-    # loose sanity: both slopes clearly negative at desk scale
-    assert report.slope_beta1 < -0.25
-    assert report.slope_beta2 < -0.25
