@@ -55,7 +55,6 @@ from .simulation import (
     CenteredGamma,
     CenteredLogNormal,
     Degenerate,
-    FixedCovariates,
     MonteCarloSummary,
     NormalDist,
     RandomCovariates,

@@ -144,20 +144,20 @@ class CovariateLimits:
 
 @dataclass(frozen=True)
 class MomentEstimates:
-    """Plug-in third/fourth moments of the cluster effects and residuals."""
+    """Plug-in third/fourth moments of the cluster effects and fourth
+    moment of the residuals: the moments C reads.  No E e^3 enters, since
+    the within covariates are cluster-centred."""
 
     mu3_alpha: float
     mu4_alpha: float
-    mu3_e: float
     mu4_e: float
 
     def __post_init__(self) -> None:
-        vals = (self.mu3_alpha, self.mu4_alpha, self.mu3_e, self.mu4_e)
+        vals = (self.mu3_alpha, self.mu4_alpha, self.mu4_e)
         if not all(np.isfinite(v) for v in vals):
             raise NonFiniteValue("moment estimates must be finite")
-        for name in ("mu3_alpha", "mu4_alpha", "mu3_e", "mu4_e"):
+        for name in ("mu3_alpha", "mu4_alpha", "mu4_e"):
             object.__setattr__(self, name, float(getattr(self, name)))
-
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,8 @@ def estimate_moments(ds: ClusteredDataset, fit: FitResult) -> MomentEstimates:
     """Plug-in moment estimates from fit residuals.
 
     Cluster-level: empirical third/fourth moments of the cluster-mean
-    residuals ybar_i - z_i' beta_hat.  Observation-level: moments of the
-    within-centered residuals (y_ij - ybar_i) - (x_w_ij - xbar_w_i)' beta2_hat,
+    residuals ybar_i - z_i' beta_hat.  Observation-level: fourth moment of
+    the within-centered residuals (y_ij - ybar_i) - (x_w_ij - xbar_w_i)' beta2_hat,
     averaged over all n observations.
     """
     om = fit.omega_hat
@@ -220,7 +220,6 @@ def estimate_moments(ds: ClusteredDataset, fit: FitResult) -> MomentEstimates:
         - (ds.x_w - np.repeat(stats.xbar_w, stats.m, axis=0)) @ om.beta2
     dy2 = dy * dy
     return MomentEstimates(mu3_alpha=mu3_a, mu4_alpha=mu4_a,
-                           mu3_e=float(dy2 @ dy) / stats.n,
                            mu4_e=float(dy2 @ dy2) / stats.n)
 
 

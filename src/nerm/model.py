@@ -117,16 +117,6 @@ class ParameterVector:
         return assemble(self.p_b, self.p_w, self.beta0, self.beta1,
                         self.sigma_alpha_sq, self.beta2, self.sigma_e_sq)
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, p_b: int, p_w: int) -> "ParameterVector":
-        flat = np.asarray(flat, dtype=float)
-        dim, i0, i1, ia, i2, ie = parameter_layout(p_b, p_w)
-        if flat.shape != (dim,):
-            raise RaggedCovariates(
-                f"flat parameter vector has length {flat.size}, expected {dim}"
-            )
-        return cls(flat[i0], flat[i1], flat[ia], flat[i2], flat[ie])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterVector):
             return NotImplemented

@@ -12,6 +12,9 @@ gap, and diagnostics for the cluster-mean error moments
     E ebar^3 = E e^3 / m^2,     E ebar^4 = 3 sigma_e_sq^2 / m^2
                                            + (E e^4 - 3 sigma_e_sq^2) / m^3.
 
+A covariate model is any object with ``p_b``, ``p_w`` and ``draw(rng,
+sizes)``, which returns the between (g, p_b) and within (n, p_w) rows.
+
 Reproducibility contract: replicate k draws from the stream seeded by
 (seed, 0, k), so results do not depend on how replicates are scheduled; an
 optional process pool merely reorders the work, never the stream.
@@ -53,7 +56,6 @@ __all__ = [
     "CenteredLogNormal",
     "Degenerate",
     "parse_distribution",
-    "FixedCovariates",
     "RandomCovariates",
     "SimConfig",
     "MonteCarloSummary",
@@ -221,7 +223,6 @@ def parse_distribution(text: str):
 # ---------------------------------------------------------------------------
 
 def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return mat
     if not np.allclose(mat, mat.T):
@@ -230,33 +231,6 @@ def _psd_factor(mat: np.ndarray, what: str) -> np.ndarray:
     if vals[0] < -1e-10 * max(abs(vals[-1]), 1.0):
         raise InvalidConfig(f"{what} must be positive semidefinite")
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-@dataclass(frozen=True)
-class FixedCovariates:
-    """Covariates held fixed across replicates."""
-
-    x_b: np.ndarray                      # (g, p_b)
-    x_w: tuple                           # g arrays of shape (m_i, p_w)
-
-    def __post_init__(self):
-        xb = np.atleast_2d(np.asarray(self.x_b, dtype=float))
-        object.__setattr__(self, "x_b", xb)
-        object.__setattr__(
-            self, "x_w",
-            tuple(np.atleast_2d(np.asarray(a, dtype=float)) for a in self.x_w),
-        )
-
-    @property
-    def p_b(self):
-        return self.x_b.shape[1]
-
-    @property
-    def p_w(self):
-        return self.x_w[0].shape[1] if self.x_w else 0
-
-    def draw(self, rng, sizes):
-        return self.x_b, np.concatenate(self.x_w)
 
 
 @dataclass(frozen=True)
@@ -274,16 +248,14 @@ class RandomCovariates:
     Sigma_w: np.ndarray
 
     def __post_init__(self):
-        mu_b = np.atleast_1d(np.asarray(self.mu_b, dtype=float))
-        mu_w = np.atleast_1d(np.asarray(self.mu_w, dtype=float))
-        object.__setattr__(self, "mu_b", mu_b)
-        object.__setattr__(self, "mu_w", mu_w)
-        object.__setattr__(self, "_Lb", _psd_factor(self.Sigma_b, "Sigma_b"))
-        object.__setattr__(self, "_Lu", _psd_factor(self.Upsilon_w, "Upsilon_w"))
-        object.__setattr__(self, "_Lv", _psd_factor(self.Sigma_w, "Sigma_w"))
-        object.__setattr__(self, "Sigma_b", np.atleast_2d(np.asarray(self.Sigma_b, dtype=float)))
-        object.__setattr__(self, "Upsilon_w", np.atleast_2d(np.asarray(self.Upsilon_w, dtype=float)))
-        object.__setattr__(self, "Sigma_w", np.atleast_2d(np.asarray(self.Sigma_w, dtype=float)))
+        for name in ("mu_b", "mu_w"):
+            mean = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, mean)
+        for name, factor in (("Sigma_b", "_Lb"), ("Upsilon_w", "_Lu"),
+                             ("Sigma_w", "_Lv")):
+            mat = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, mat)
+            object.__setattr__(self, factor, _psd_factor(mat, name))
         if self.Sigma_b.shape != (self.p_b, self.p_b):
             raise InvalidConfig("Sigma_b shape does not match mu_b")
         if self.Upsilon_w.shape != (self.p_w, self.p_w) \
@@ -297,15 +269,6 @@ class RandomCovariates:
     @property
     def p_w(self):
         return self.mu_w.size
-
-    def limits(self) -> CovariateLimits:
-        """Law-level limit quantities: c1 = mu_b, C2 = Sigma_b + mu_b mu_b',
-        C3 = Sigma_w."""
-        return CovariateLimits(
-            c1=self.mu_b,
-            C2=self.Sigma_b + np.outer(self.mu_b, self.mu_b),
-            C3=self.Sigma_w,
-        )
 
     def draw(self, rng, sizes):
         g = len(sizes)
@@ -343,7 +306,15 @@ class SimConfig:
             )
         if not (0.0 < self.gamma < 1.0):
             raise InvalidConfig(f"gamma must lie in (0, 1), got {self.gamma}")
-        sizes = self.sizes
+        sizes = np.array(self.cluster_sizes, dtype=int, ndmin=1)
+        if np.isscalar(self.cluster_sizes):
+            sizes = np.repeat(sizes, self.g)
+        if sizes.size != self.g:
+            raise InvalidConfig(
+                f"cluster_sizes has length {sizes.size}, expected g={self.g}"
+            )
+        sizes.setflags(write=False)
+        object.__setattr__(self, "_sizes", sizes)
         if np.any(sizes < 1):
             raise InvalidConfig("cluster sizes must all be >= 1")
         if int(sizes.sum()) <= self.g:
@@ -357,12 +328,6 @@ class SimConfig:
                 f"covariate model dims ({cm.p_b}, {cm.p_w}) do not match "
                 f"true_omega ({p_b}, {p_w})"
             )
-        if isinstance(cm, FixedCovariates):
-            if cm.x_b.shape[0] != self.g or len(cm.x_w) != self.g:
-                raise InvalidConfig("fixed covariates do not match g")
-            for a, m in zip(cm.x_w, sizes):
-                if a.shape[0] != m:
-                    raise InvalidConfig("fixed within covariates do not match sizes")
         om = self.true_omega
         for which, law, v in (("effect", self.alpha_dist, om.sigma_alpha_sq),
                               ("error", self.e_dist, om.sigma_e_sq)):
@@ -379,14 +344,8 @@ class SimConfig:
 
     @property
     def sizes(self) -> np.ndarray:
-        if np.isscalar(self.cluster_sizes):
-            return np.full(self.g, int(self.cluster_sizes), dtype=int)
-        sizes = np.asarray(self.cluster_sizes, dtype=int)
-        if sizes.size != self.g:
-            raise InvalidConfig(
-                f"cluster_sizes has length {sizes.size}, expected g={self.g}"
-            )
-        return sizes
+        """The cluster sizes, settled once: one read-only int per cluster."""
+        return self._sizes
 
     @property
     def n(self) -> int:
@@ -453,35 +412,34 @@ def _diagnose_ebar(ebar_by_size: dict, e_dist, sigma_e_sq: float) -> dict:
     """Compare empirical ebar moments with the analytic identities.
 
     ``ebar_by_size`` maps a cluster size to its cluster-mean errors, one
-    row per replicate; power sums are formed per row and added in row
-    order (one sum over the stacked rows would round differently).
+    row per replicate.  The power sums up to the eighth are taken over all
+    rows at once in units of sqrt(sigma_e_sq), so they stay O(1) whatever
+    the scale; ``empirical``, ``expected`` and ``mc_se`` are reported in
+    the data's units.
     """
     se = e_dist.variance(sigma_e_sq)
     m3 = e_dist.moment3(sigma_e_sq)
     m4 = e_dist.moment4(sigma_e_sq)
+    unit = math.sqrt(sigma_e_sq)
     out = {}
     for m, rows in sorted(ebar_by_size.items()):
-        sums = sum(np.array([np.sum(row**k) for k in range(1, 9)]) for row in rows)
+        u = rows / unit
+        power, sums = np.ones_like(u), []
+        for _ in range(8):
+            power *= u
+            sums.append(float(np.sum(power)))
         count = rows.size
         mf = float(m)
-        expected = {
-            "mean": 0.0,
-            "second": se / mf,
-            "third": m3 / mf**2,
-            "fourth": 3.0 * se * se / mf**2 + (m4 - 3.0 * se * se) / mf**3,
-        }
+        expected = (0.0, se / mf, m3 / mf**2,
+                    3.0 * se * se / mf**2 + (m4 - 3.0 * se * se) / mf**3)
         entry = {}
         for k, key in enumerate(("mean", "second", "third", "fourth"), start=1):
+            scale, target = unit ** k, float(expected[k - 1])
             emp = sums[k - 1] / count
-            second_moment = sums[2 * k - 1] / count
-            se_mc = math.sqrt(max(second_moment - emp * emp, 0.0) / count)
-            z = (emp - expected[key]) / se_mc if se_mc > 0 else 0.0
-            entry[key] = {
-                "empirical": float(emp),
-                "expected": float(expected[key]),
-                "mc_se": float(se_mc),
-                "zscore": float(z),
-            }
+            mc_se = math.sqrt(max(sums[2 * k - 1] / count - emp * emp, 0.0) / count)
+            z = (emp - target / scale) / mc_se if mc_se > 0 else 0.0
+            entry[key] = {"empirical": emp * scale, "expected": target,
+                          "mc_se": mc_se * scale, "zscore": z}
         out[int(m)] = entry
     return out
 

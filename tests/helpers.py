@@ -147,6 +147,15 @@ def random_omega(rng, p_b, p_w) -> ParameterVector:
     )
 
 
+def from_flat(flat, p_b: int, p_w: int) -> ParameterVector:
+    """The parameter vector with canonical flat layout ``flat``, the inverse
+    of ``ParameterVector.flatten``; finite-difference oracles perturb the
+    flat vector and evaluate through this."""
+    dim, i0, i1, ia, i2, ie = parameter_layout(p_b, p_w)
+    assert len(flat) == dim, (len(flat), dim)
+    return ParameterVector(flat[i0], flat[i1], flat[ia], flat[i2], flat[ie])
+
+
 # ---------------------------------------------------------------------------
 # naive sufficient statistics (pure double loops)
 # ---------------------------------------------------------------------------
@@ -206,11 +215,11 @@ def naive_first_nonfinite(ys, xbs, xws):
 
 
 def naive_moments(ds: ClusteredDataset, omega: ParameterVector):
-    """(mu3_alpha, mu4_alpha, mu3_e, mu4_e) from fit residuals by loops:
-    power means of the cluster-mean residuals and of the within-centered
+    """(mu3_alpha, mu4_alpha, mu4_e) from fit residuals by loops: power
+    means of the cluster-mean residuals and of the within-centered
     observation residuals."""
     m, ybar, xbar, *_ = naive_sufficient_stats(ds)
-    s3a = s4a = s3e = s4e = 0.0
+    s3a = s4a = s4e = 0.0
     for k, c in enumerate(clusters(ds)):
         rb = ybar[k] - omega.beta0 \
             - sum(float(c.x_b[r]) * omega.beta1[r] for r in range(ds.p_b)) \
@@ -221,9 +230,8 @@ def naive_moments(ds: ClusteredDataset, omega: ParameterVector):
             d = float(c.y[j]) - ybar[k] - sum(
                 (float(c.x_w[j, r]) - xbar[k, r]) * omega.beta2[r]
                 for r in range(ds.p_w))
-            s3e += d ** 3
             s4e += d ** 4
-    return s3a / ds.g, s4a / ds.g, s3e / m.sum(), s4e / m.sum()
+    return s3a / ds.g, s4a / ds.g, s4e / m.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +386,7 @@ def matrix_A(limits: CovariateLimits, theta_dot,
 
 def normal_theory(sigma_alpha_sq: float, sigma_e_sq: float) -> MomentEstimates:
     """Moments a normal law would have; handy for law-level matrices."""
-    return MomentEstimates(0.0, 3.0 * sigma_alpha_sq**2, 0.0, 3.0 * sigma_e_sq**2)
+    return MomentEstimates(0.0, 3.0 * sigma_alpha_sq**2, 3.0 * sigma_e_sq**2)
 
 
 def _jacobian(stats, omega, r, r_sq, Q, u) -> np.ndarray:

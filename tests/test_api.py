@@ -8,13 +8,16 @@ statistics; the others take the statistics alone.
 
 Nothing is exported that only the tests use.  Every public name has a
 caller in the library itself, or is one of the documented entry points
-listed in the README.
+listed in the README; so has every public method and property of an
+exported class, read as an attribute.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
+import types
 from pathlib import Path
 
 import nerm
@@ -64,24 +67,47 @@ def _public_names():
 
 
 def _names_used_in_the_library():
-    """Every name the package's modules read, apart from ``__init__.py``:
-    bare names and attributes, but not definitions, imports or strings."""
-    used = set()
+    """(bare names, attributes) the package's modules read, apart from
+    ``__init__.py``; definitions, imports and strings are not reads."""
+    names, attributes = set(), set()
     for path in Path(nerm.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_public_name_has_a_caller_or_is_an_entry_point():
     exported = set(_public_names())
     assert ENTRY_POINTS <= {name for _, name in exported}
-    used = _names_used_in_the_library()
+    names, attributes = _names_used_in_the_library()
+    used = names | attributes
     unused = sorted(f"{module}.{name}" for module, name in exported
                     if name not in used and name not in ENTRY_POINTS)
+    assert unused == []
+
+
+MEMBER_KINDS = (property, functools.cached_property, classmethod,
+                staticmethod, types.FunctionType)
+
+
+def test_every_public_member_has_a_caller_or_is_an_entry_point():
+    # only attribute reads count: a local variable that shares a method's
+    # name is no call of the method
+    members = set()
+    for module, name in _public_names():
+        cls = getattr(importlib.import_module(module), name)
+        if inspect.isclass(cls):
+            members |= {(f"{cls.__module__}.{name}", attr)
+                        for attr, raw in vars(cls).items()
+                        if not attr.startswith("_")
+                        and isinstance(raw, MEMBER_KINDS)}
+    assert ("nerm.model.ParameterVector", "flatten") in members
+    _, attributes = _names_used_in_the_library()
+    unused = sorted(f"{owner}.{attr}" for owner, attr in members
+                    if attr not in attributes and attr not in ENTRY_POINTS)
     assert unused == []

@@ -143,7 +143,6 @@ def test_sandwich_identity_holds_numerically():
         moments = MomentEstimates(
             mu3_alpha=rng.normal(),
             mu4_alpha=theta[0]**2 * rng.uniform(1.1, 6.0),
-            mu3_e=rng.normal(),
             mu4_e=theta[1]**2 * rng.uniform(1.1, 6.0))
         A = matrix_A(limits, theta, moments)
         B = matrix_B(limits, theta)
@@ -270,7 +269,6 @@ def test_estimate_moments_reduces_to_residual_power_means():
     mom = estimate_moments(ds, _fake_fit(om, 2, 4))
     assert mom.mu3_alpha == pytest.approx(0.5)   # (0 + 1) / 2
     assert mom.mu4_alpha == pytest.approx(0.5)
-    assert mom.mu3_e == pytest.approx(0.0)
     assert mom.mu4_e == pytest.approx(1.0)
 
 
@@ -283,7 +281,6 @@ def test_estimate_moments_tracks_the_law_on_a_big_sample():
     assert mom.mu4_alpha == pytest.approx(3.0 * sa * sa, rel=0.5)
     assert mom.mu4_e == pytest.approx(3.0 * se * se, rel=0.25)
     assert abs(mom.mu3_alpha) < 1.5 * sa ** 1.5
-    assert abs(mom.mu3_e) < 0.5 * se ** 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +294,7 @@ def _interval_fixture_fit():
 
 def _interval_fixture_pieces():
     limits = CovariateLimits(c1=np.empty(0), C2=np.empty((0, 0)), C3=[[4.0]])
-    moments = MomentEstimates(mu3_alpha=0.0, mu4_alpha=3.0,
-                              mu3_e=0.0, mu4_e=48.0)
+    moments = MomentEstimates(mu3_alpha=0.0, mu4_alpha=3.0, mu4_e=48.0)
     return limits, moments
 
 
@@ -326,7 +322,7 @@ def test_variance_interval_worked_example():
 def test_degenerate_fourth_moment_collapses_interval():
     limits, _ = _interval_fixture_pieces()
     moments = MomentEstimates(mu3_alpha=0.0, mu4_alpha=0.5,  # below sa^2 = 1
-                              mu3_e=0.0, mu4_e=48.0)
+                              mu4_e=48.0)
     cis = confidence_intervals(_interval_fixture_fit(), limits, moments, 0.05)
     ci = next(c for c in cis if c.name == "sigma_alpha_sq")
     assert ci.degenerate
@@ -368,7 +364,7 @@ def test_every_interval_reads_diag_C_over_K():
             mu4_alpha = 0.5 * sa**2       # negative variance of variance
         if case == 18:
             sa, mu4_alpha = 1e-8 * se, 3.0   # pinned at the variance floor
-        moments = MomentEstimates(rng.normal(), mu4_alpha, rng.normal(),
+        moments = MomentEstimates(rng.normal(), mu4_alpha,
                                   se**2 * rng.uniform(1.1, 6.0))
         om = ParameterVector(rng.normal(), rng.normal(size=p_b), sa,
                              rng.normal(size=p_w), se)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,24 @@ def test_simulate_flags_boundary_runs(tmp_path):
     assert rc == EXIT_FLAGGED
     report = json.loads(open(out).read())
     assert report["n_boundary"] == 3
+
+
+@pytest.mark.parametrize("sigma_e_sq", ["1e100", "1e150"])
+def test_cluster_mean_diagnostics_stay_finite_at_a_huge_scale(tmp_path, sigma_e_sq):
+    # the law's moments are finite doubles here, but eighth powers of the
+    # cluster-mean errors are not: the diagnostics must not form them raw
+    out = str(tmp_path / "sim.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--g", "10", "--m", "3", "--reps", "5",
+                     "--seed", "4", "--sigma-e-sq", sigma_e_sq,
+                     "--output", out]) == EXIT_FLAGGED
+    cells = _strict_json(out)["ebar_moments"]["3"].values()
+    assert len(cells) == 4
+    for cell in cells:
+        assert all(isinstance(cell[k], float) and math.isfinite(cell[k])
+                   for k in ("mc_se", "zscore"))
+        assert cell["mc_se"] > 0.0
 
 
 def test_the_three_subcommands_are_all_there_is(capsys):

