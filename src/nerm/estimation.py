@@ -26,18 +26,27 @@ with the closed-form derivative
         [+ (1/2) tr{M^-1 Z' diag(w^2) Z} for REML].
 
 This is the profiled deviance of lme4 (Bates, Maechler, Bolker & Walker,
-J. Stat. Softw. 67(1), 2015).  A fixed log-spaced scan of gamma guards
-against a second mode, and a bracketed false-position solve (Illinois
-variant) finds each root of the derivative the scan brackets.  gamma = 0
-is the only boundary: when the derivative there is <= 0 the fit is
-reported with ``boundary_flag`` and sigma_alpha_sq = FLOOR * sigma_e_sq.
+J. Stat. Softw. 67(1), 2015).  w_i depends on m_i alone, so each sum over
+clusters is a sum over the K distinct sizes: with A_k = [Z_k | ybar_k]
+the between rows of the clusters of size m_k and R_k its QR factor,
+
+    M(gamma) = sum_k w_k Z_k' Z_k + W,
+    sum_i w_i r_i^2 = sum_k w_k ||R_k (-beta; 1)||^2,
+
+and likewise with w_k^2 for the slope.  An evaluation costs O(K), not
+O(g).  A fixed log-spaced scan of gamma guards against a second mode; its
+18 points are one stacked evaluation.  A bracketed false-position solve
+(Illinois variant) finds each root of the derivative the scan brackets.
+gamma = 0 is the only boundary: when the derivative there is <= 0 the fit
+is reported with ``boundary_flag`` and sigma_alpha_sq = FLOOR * sigma_e_sq.
 The other way to leave the interior, sigma_e_sq -> 0, happens only when the
 pooled within residual Q_min is zero to rounding; that is decided before
 the search and answered in closed form, again with ``boundary_flag``.
 Collinearity of the design does not depend on gamma, so ``SingularDelta``
-is decided once, at gamma = 0, the first point of the scan.  Z, S_w_xy and
-S_w_x come from the dataset's shared ``SufficientStats``; ``_solve`` alone
-forms and factors M(gamma), for the search and at any given theta.
+is decided once, at gamma = 0, the first point of the scan.  The per-size
+sums, S_w_xy and S_w_x come from the dataset's shared ``SufficientStats``;
+``_solve`` alone forms and factors M(gamma), for a vector of gamma at
+once: the scan, each point of the root solve, and any given theta.
 """
 
 from __future__ import annotations
@@ -75,13 +84,11 @@ _GAMMA_TOL = 1e-12   # relative width of a solved bracket
 # the profiled normal equations
 # ---------------------------------------------------------------------------
 
-def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
-
-
-def _cholesky(M: np.ndarray) -> np.ndarray:
+def _factor_solve(M: np.ndarray, b: np.ndarray):
+    """(L, M^-1 b) with M = L L'; SingularDelta when either step finds M
+    singular."""
     try:
-        return np.linalg.cholesky(M)
+        return np.linalg.cholesky(M), np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
         raise SingularDelta(
             "profiled normal equations are singular; the intercept-plus-"
@@ -89,27 +96,64 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _solve(stats: SufficientStats, gamma: float):
+class _Point(NamedTuple):
+    """The profiled problem at gamma: one value per field, or one row per
+    gamma of a vector."""
+    gamma: float
+    value: float      # profiled objective, up to a constant
+    slope: float      # its derivative in gamma
+    beta: np.ndarray
+    sigma_e_sq: float
+    L: np.ndarray     # M(gamma) = L L'
+    trace: float      # tr{M^-1 Z' diag(w^2) Z} for REML, 0 for ML
+
+    def row(self, i: int) -> _Point:
+        return _Point(*(field[i] for field in self))
+
+
+def _solve(stats: SufficientStats, gamma, reml: bool = False) -> _Point:
     """The one place that forms and factors M(gamma) and solves the normal
-    equations; returns (w, L, beta) with M = L L'."""
-    m = stats.m.astype(float)
-    w = m / (1.0 + m * gamma)
-    Z, k = stats.Z, 1 + stats.p_b
-    M = (Z.T * w) @ Z
-    M[k:, k:] += stats.S_w_x
-    rhs = Z.T @ (w * stats.ybar)
-    rhs[k:] += stats.S_w_xy
-    L = _cholesky(M)
-    return w, L, _chol_solve(L, rhs)
+    equations, at every gamma of a vector in one stacked call; returns the
+    coefficients, sigma_e_sq, objective and slope per gamma, as rows.
+
+    Every sum over clusters is a sum over the K distinct sizes of
+    ``stats``: M and the right-hand side from the per-size cross products,
+    the residual sums from the per-size QR factors.  So an evaluation costs
+    O(K), and no (S, g) array is formed.
+    """
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    q, k = stats.Z.shape[1], 1 + stats.p_b
+    size, G = stats.sizes, stats.G.reshape(stats.sizes.size, -1)
+    w = size / (1.0 + gamma[:, None] * size)               # (S, K)
+    A = (w @ G).reshape(-1, q + 1, q + 1)    # sum_k w_k A_k' A_k
+    M, rhs = A[:, :q, :q], A[:, :q, q:]
+    M[:, k:, k:] += stats.S_w_x
+    rhs[:, k:, 0] += stats.S_w_xy
+    if reml:   # M^-1 (rhs | Z' diag(w^2) Z) in one solve
+        H = ((w * w) @ G).reshape(-1, q + 1, q + 1)[:, :q, :q]
+        rhs = np.concatenate((rhs, H), axis=2)
+    L, x = _factor_solve(M, rhs)
+    beta = x[:, :, 0]
+    trace = np.trace(x[:, :, 1:], axis1=1, axis2=2)   # 0 for ML: no H
+    # ||R_k (-beta; 1)||^2: the residual sum of squares of size k's means
+    Rt = np.swapaxes(stats.R, 1, 2)
+    e2 = ((Rt[:, q, None] - beta @ Rt[:, :q]) ** 2).sum(axis=2).T   # (S, K)
+    b2 = beta[:, k:]
+    rss = stats.S_w_y - 2.0 * (b2 @ stats.S_w_xy) \
+        + ((b2 @ stats.S_w_x) * b2).sum(axis=1) + (w * e2).sum(axis=1)
+    df = stats.n - (q if reml else 0)
+    value = 0.5 * (np.log(w) @ stats.counts) - 0.5 * df * np.log(rss / df)
+    slope = -0.5 * (w @ stats.counts) + 0.5 * df * (w * w * e2).sum(axis=1) / rss
+    if reml:
+        value = value - np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        slope = slope + 0.5 * trace
+    return _Point(gamma, value, slope, beta, rss / df, L, trace)
 
 
-def _at_theta(stats: SufficientStats, theta):
-    """:func:`_solve` at gamma = sigma_alpha_sq / sigma_e_sq; returns beta,
-    L and log det Delta, where Delta = M / sigma_e_sq = L L' / sigma_e_sq."""
+def _at_theta(stats: SufficientStats, theta, reml: bool = False) -> _Point:
+    """:func:`_solve` at gamma = sigma_alpha_sq / sigma_e_sq."""
     tau(theta, 1.0)   # NonPositiveVariance unless both are finite and > 0
-    se = float(theta[1])
-    _, L, beta = _solve(stats, float(theta[0]) / se)
-    return beta, L, 2.0 * float(np.sum(np.log(np.diag(L)))) - L.shape[0] * np.log(se)
+    return _solve(stats, float(theta[0]) / float(theta[1]), reml).row(0)
 
 
 def profile_beta(stats: SufficientStats, theta):
@@ -127,8 +171,8 @@ def profile_beta(stats: SufficientStats, theta):
         NonPositiveVariance: a variance is not finite and > 0.
         SingularDelta: collinear design.
     """
-    beta, L, _ = _at_theta(stats, theta)
-    return beta, (L @ L.T) / float(theta[1])
+    p = _at_theta(stats, theta)
+    return p.beta, (p.L @ p.L.T) / float(theta[1])
 
 
 def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVector:
@@ -146,50 +190,23 @@ def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray
     corner).  Its root is the REML estimator, and its variance entries
     evaluated at the profiled coefficients are the gradient of the
     restricted objective l(beta_hat(theta), theta) - (1/2) log det Delta.
+
+    With tau_i = w_i / sigma_e_sq and w_i^2 / m_i = w_i - gamma w_i^2, the
+    two traces are -T / sigma_e_sq and -(q - gamma T) / sigma_e_sq, where
+    T = tr{M^-1 Z' diag(w^2) Z} is the REML term of the profiled slope.
     """
     se = omega.sigma_e_sq
-    _, L, _ = _at_theta(stats, omega.theta)
-    Z, k = stats.Z, 1 + stats.p_b
-    t = tau(omega.theta, stats.m)
-    t2 = t * t
-    dA = -(Z.T * t2) @ Z
-    dE = -(Z.T * (t2 / stats.m)) @ Z
-    dE[k:, k:] -= stats.S_w_x / se**2
+    p = _at_theta(stats, omega.theta, reml=True)
     out = score(stats, omega)
     _, _, _, ia, _, ie = parameter_layout(stats.p_b, stats.p_w)
-    out[ia] -= 0.5 * se * float(np.trace(_chol_solve(L, dA)))
-    out[ie] -= 0.5 * se * float(np.trace(_chol_solve(L, dE)))
+    out[ia] += 0.5 * p.trace / se
+    out[ie] += 0.5 * (stats.Z.shape[1] - p.gamma * p.trace) / se
     return out
 
 
 # ---------------------------------------------------------------------------
 # the scalar problem in gamma
 # ---------------------------------------------------------------------------
-
-class _Point(NamedTuple):
-    gamma: float
-    value: float      # profiled objective, up to a constant
-    slope: float      # its derivative in gamma
-    beta: np.ndarray
-    sigma_e_sq: float
-
-
-def _profiled(stats: SufficientStats, gamma: float, reml: bool) -> _Point:
-    """Coefficients, sigma_e_sq, objective and slope at one gamma >= 0."""
-    w, L, beta = _solve(stats, gamma)
-    Z = stats.Z
-    r = stats.ybar - Z @ beta
-    b2 = beta[1 + stats.p_b:]
-    rss = float(stats.S_w_y - 2.0 * (stats.S_w_xy @ b2) + b2 @ stats.S_w_x @ b2
-                + np.sum(w * r * r))
-    df = stats.n - (Z.shape[1] if reml else 0)
-    value = 0.5 * float(np.sum(np.log(w))) - 0.5 * df * np.log(rss / df)
-    slope = -0.5 * float(np.sum(w)) + 0.5 * df * float(np.sum((w * r) ** 2)) / rss
-    if reml:
-        value -= float(np.sum(np.log(np.diag(L))))
-        slope += 0.5 * float(np.trace(_chol_solve(L, (Z.T * (w * w)) @ Z)))
-    return _Point(gamma, value, slope, beta, rss / df)
-
 
 def _root(at, lo: _Point, hi: _Point) -> _Point:
     """Root of the slope in [lo, hi], lo.slope > 0 >= hi.slope, by Illinois
@@ -201,7 +218,7 @@ def _root(at, lo: _Point, hi: _Point) -> _Point:
         c = (lo.gamma * f_hi - hi.gamma * f_lo) / (f_hi - f_lo)
         if not lo.gamma < c < hi.gamma:
             c = 0.5 * (lo.gamma + hi.gamma)
-        p = at(c)
+        p = at(c).row(0)
         if p.slope > 0.0:
             lo, f_lo = p, p.slope
             f_hi *= 0.5 if kept == 1 else 1.0
@@ -216,14 +233,16 @@ def _root(at, lo: _Point, hi: _Point) -> _Point:
 def _search(at):
     """Best local maximum of the profiled objective over gamma >= 0.
 
-    Returns (point, at_boundary).  The scan starts at gamma = 0 and FLOOR
-    and runs in decades; it goes on past 1e8 while the slope is positive.
+    Returns (point, at_boundary).  The scan, one stacked evaluation,
+    starts at gamma = 0 and FLOOR and runs in decades; it goes on past 1e8
+    one point at a time while the slope is positive.
     """
-    pts = [at(x) for x in _SCAN]
+    scan = at(_SCAN)
+    pts = [scan.row(i) for i in range(_SCAN.size)]
     for _ in range(40):
         if pts[-1].slope <= 0.0:
             break
-        pts.append(at(10.0 * pts[-1].gamma))
+        pts.append(at(10.0 * pts[-1].gamma).row(0))
     # gamma = 0 wins the KKT check when the slope there is <= 0; it is
     # reported at gamma = FLOOR, the second scan point.
     candidates = [(pts[1], True)] if pts[0].slope <= 0.0 else []
@@ -263,11 +282,12 @@ class FitResult:
     and the restricted objective for REML.  ``score_norm`` is the Euclidean
     norm of the full estimating function (psi for ML, psi_A for REML) at
     the reported parameters; ``converged`` asserts it is below
-    1e-8 * (1 + |loglik_at_opt|).  ``iterations`` counts the evaluations of
-    the profiled objective in gamma (0 when sigma_e_sq collapses).  A fit
-    with a vanished variance is reported with ``boundary_flag`` set, that
-    variance at FLOOR = 1e-8 times the other one, and usually ``converged``
-    False.
+    1e-8 * (1 + |loglik_at_opt|).  ``iterations`` counts the values of
+    gamma at which the profiled objective was evaluated: 18 for the
+    stacked scan, one for each later point (0 when sigma_e_sq collapses).
+    A fit with a vanished variance is reported with ``boundary_flag`` set,
+    that variance at FLOOR = 1e-8 times the other one, and usually
+    ``converged`` False.
     """
 
     omega_hat: ParameterVector
@@ -283,16 +303,26 @@ class FitResult:
 
 def _within_beta2(stats: SufficientStats) -> np.ndarray:
     """Within-cluster estimator S_w_x^-1 S_w_xy; raises when S_w_x is
-    rank deficient."""
+    rank deficient.
+
+    The test does not depend on units: a column counts as constant within
+    clusters when its within sum of squares is below 1e-24 of its raw sum
+    of squares (rounding noise), and the columns as collinear when S_w_x,
+    scaled to unit diagonal, has an eigenvalue below 1e-12.
+    """
     if stats.p_w == 0:
         return np.zeros(0)
-    eigs = np.linalg.eigvalsh(0.5 * (stats.S_w_x + stats.S_w_x.T))
-    if eigs[0] <= 1e-12 * max(float(eigs[-1]), 1.0):
+    S = stats.S_w_x
+    within = np.diag(S)
+    raw = within + stats.m @ stats.xbar_w ** 2   # sum_ij x_w_ij^2
+    d = np.sqrt(within)
+    if np.any(within <= 1e-24 * raw) \
+            or np.linalg.eigvalsh(S / np.outer(d, d))[0] <= 1e-12:
         raise DegenerateWithinDesign(
             "a within-cluster covariate has no within-cluster variation "
             "(S_w_x is rank deficient)"
         )
-    return np.linalg.solve(stats.S_w_x, stats.S_w_xy)
+    return np.linalg.solve(S, stats.S_w_xy)
 
 
 def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
@@ -316,17 +346,19 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     else:
         def at(gamma):
             nonlocal evals
-            evals += 1
-            return _profiled(stats, gamma, reml)
+            p = _solve(stats, gamma, reml)
+            evals += p.gamma.size
+            return p
 
         best, boundary = _search(at)
         se = best.sigma_e_sq
         omega = _omega_at(stats, best.beta, (best.gamma * se, se))
 
     val = log_likelihood(stats, omega)
-    if reml:
-        _, _, logdet = _at_theta(stats, omega.theta)
-        val -= 0.5 * logdet
+    if reml:   # - (1/2) log det Delta, Delta = L L' / sigma_e_sq
+        L = _at_theta(stats, omega.theta).L
+        val -= float(np.sum(np.log(np.diag(L)))) \
+            - 0.5 * L.shape[0] * np.log(omega.sigma_e_sq)
         estimating = adjusted_score(stats, omega)
     else:
         estimating = score(stats, omega)

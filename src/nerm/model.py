@@ -13,10 +13,11 @@ x_w_ij vary inside it.
 Everything downstream (likelihood, estimation, asymptotics) consumes the
 per-cluster sufficient statistics computed here, once per dataset: cluster
 means of y and of the within covariates, the between design z_i = (1,
-x_b_i, xbar_w_i) and the pooled within-cluster cross products S_w_y,
-S_w_xy, S_w_x.  A dataset is stored once, as flat arrays with cluster
-offsets, and every per-cluster reduction here is a whole-array numpy
-operation over them.  The precision weight of a cluster mean is
+x_b_i, xbar_w_i), its reduction per distinct cluster size, and the pooled
+within-cluster cross products S_w_y, S_w_xy, S_w_x.  A dataset is stored
+once, as flat arrays with cluster offsets, and every per-cluster reduction
+here is a whole-array numpy operation over them.  The precision weight of
+a cluster mean is
 
     tau_i = m_i / (sigma_e_sq + m_i * sigma_alpha_sq),
 
@@ -228,11 +229,19 @@ class ClusteredDataset:
         xbar_w = _cluster_means(self, self.x_w)
         dy = self.y - np.repeat(ybar, m)
         dx = self.x_w - np.repeat(xbar_w, m, axis=0)
+        Z = np.hstack([np.ones((self.g, 1)), self.x_b, xbar_w])
+        sizes, counts = np.unique(m, return_counts=True)
+        rows = np.column_stack((Z, ybar))[np.argsort(m, kind="stable")]
+        G = np.empty((sizes.size,) + (rows.shape[1],) * 2)
+        R = np.zeros_like(G)
+        for k, block in enumerate(np.split(rows, np.cumsum(counts)[:-1])):
+            G[k] = block.T @ block
+            r = np.linalg.qr(block, mode="r")
+            R[k, :r.shape[0]] = r   # fewer clusters than columns: zero rows
         return SufficientStats(
-            m=m, ybar=ybar, xbar_w=xbar_w,
-            Z=np.hstack([np.ones((self.g, 1)), self.x_b, xbar_w]),
+            m=m, ybar=ybar, xbar_w=xbar_w, Z=Z,
             S_w_y=float(dy @ dy), S_w_xy=dx.T @ dy, S_w_x=dx.T @ dx,
-            n=self.n, g=self.g,
+            sizes=sizes, counts=counts, G=G, R=R, n=self.n, g=self.g,
         )
 
 
@@ -284,6 +293,15 @@ class SufficientStats:
         S_w_y  = sum_ij (y_ij - ybar_i)^2
         S_w_xy = sum_ij (x_w_ij - xbar_w_i) (y_ij - ybar_i)
         S_w_x  = sum_ij (x_w_ij - xbar_w_i) (x_w_ij - xbar_w_i)'
+
+    A cluster's weight in the profiled likelihood depends on its size
+    alone, so the between rows are also reduced once per distinct size.
+    For the rows A_k = [Z_k | ybar_k] of the ``counts[k]`` clusters of size
+    ``sizes[k]``, ``G[k]`` is their cross product A_k' A_k, summed as is so
+    that an exactly collinear design stays exactly singular, and ``R[k]``
+    its triangular QR factor, padded with zero rows when there are fewer
+    clusters than columns: ||R[k] (-beta; 1)||^2 is their residual sum of
+    squares, without the cancellation of expanding A_k' A_k.
     """
 
     m: np.ndarray          # (g,) cluster sizes
@@ -293,13 +311,19 @@ class SufficientStats:
     S_w_y: float
     S_w_xy: np.ndarray     # (p_w,)
     S_w_x: np.ndarray      # (p_w, p_w)
+    sizes: np.ndarray      # (K,) distinct cluster sizes, increasing
+    counts: np.ndarray     # (K,) clusters of each size
+    G: np.ndarray          # (K, q + 1, q + 1), q = 1 + p_b + p_w
+    R: np.ndarray          # (K, q + 1, q + 1)
     n: int
     g: int
 
     def __post_init__(self) -> None:
-        for name in ("m", "ybar", "xbar_w", "Z", "S_w_xy", "S_w_x"):
+        for name in ("m", "ybar", "xbar_w", "Z", "S_w_xy", "S_w_x",
+                     "sizes", "counts", "G", "R"):
+            integral = name in ("m", "sizes", "counts")
             object.__setattr__(self, name, _readonly(getattr(self, name),
-                                                     int if name == "m" else float))
+                                                     int if integral else float))
         object.__setattr__(self, "S_w_y", float(self.S_w_y))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "g", int(self.g))

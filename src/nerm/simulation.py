@@ -41,6 +41,7 @@ from .errors import (
     InvalidConfig,
     InvalidDistribution,
     NermError,
+    RaggedCovariates,
 )
 from .estimation import fit_ml, fit_reml
 from .model import (
@@ -352,30 +353,40 @@ class SimConfig:
         return int(self.sizes.sum())
 
 
-def _generate(cfg: SimConfig, replicate_index: int):
-    """The dataset's arrays, as ClusteredDataset keywords, and the
-    per-cluster mean errors."""
+def _draw(cfg: SimConfig, replicate_index: int):
+    """Covariates, cluster effects and errors of one replicate, in the
+    order its own stream draws them."""
     rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFF, 0, replicate_index])
     om = cfg.true_omega
-    sizes = cfg.sizes
     if cfg.covariate_model is not None:
-        x_b, x_w = cfg.covariate_model.draw(rng, sizes)
+        x_b, x_w = cfg.covariate_model.draw(rng, cfg.sizes)
     else:
         x_b, x_w = np.empty((cfg.g, 0)), np.empty((cfg.n, 0))
     alpha = np.asarray(cfg.alpha_dist.sample(rng, cfg.g, om.sigma_alpha_sq),
                        dtype=float)
     e = cfg.e_dist.sample(rng, cfg.n, om.sigma_e_sq)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    ebar = np.add.reduceat(e, offsets[:-1]) / sizes
+    return x_b, x_w, alpha, e
+
+
+def _dataset(cfg: SimConfig, x_b, x_w, alpha, e) -> ClusteredDataset:
+    """The replicate's dataset from its draws; raises RaggedCovariates when
+    the covariate model drew arrays of the wrong shape."""
+    om, sizes = cfg.true_omega, cfg.sizes
+    if np.shape(x_b) != (cfg.g, om.p_b) or np.shape(x_w) != (cfg.n, om.p_w):
+        raise RaggedCovariates(
+            f"covariate model drew x_b {np.shape(x_b)} and x_w {np.shape(x_w)}, "
+            f"expected ({cfg.g}, {om.p_b}) and ({cfg.n}, {om.p_w})"
+        )
     y = np.repeat(om.beta0 + x_b @ om.beta1, sizes) + x_w @ om.beta2 \
         + np.repeat(alpha, sizes) + e
     ids = np.char.add("c", np.char.zfill(np.arange(cfg.g).astype(str), 4))
-    return dict(y=y, x_w=x_w, x_b=x_b, offsets=offsets, ids=ids), ebar
+    return ClusteredDataset(y=y, x_w=x_w, x_b=x_b, ids=ids,
+                            offsets=np.concatenate(([0], np.cumsum(sizes))))
 
 
 def generate_dataset(cfg: SimConfig, replicate_index: int = 0) -> ClusteredDataset:
     """Simulate one dataset; deterministic in (cfg.seed, replicate_index)."""
-    return ClusteredDataset(**_generate(cfg, replicate_index)[0])
+    return _dataset(cfg, *_draw(cfg, replicate_index))
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +396,13 @@ def generate_dataset(cfg: SimConfig, replicate_index: int = 0) -> ClusteredDatas
 def _run_one(cfg: SimConfig, index: int):
     """One replicate: its row of the summary's arrays (error, boundary,
     omega_ml, omega_reml, normalized_error, ci_hits, ml_reml_gap) and its
-    cluster-mean errors."""
-    arrays, ebar = _generate(cfg, index)
+    cluster-mean errors, which a failed replicate keeps too."""
+    draws = _draw(cfg, index)
+    sizes = cfg.sizes
+    ebar = np.add.reduceat(draws[3], np.cumsum(sizes) - sizes) / sizes
     true_flat = cfg.true_omega.flatten()
-    try:   # a dataset the constructor rejects fails this replicate only
-        ds = ClusteredDataset(**arrays)
+    try:   # a dataset that cannot be built fails this replicate only
+        ds = _dataset(cfg, *draws)
         ml = fit_ml(ds)
         reml = fit_reml(ds)
         om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()

@@ -294,6 +294,31 @@ def profiled_objective(ds: ClusteredDataset, theta, reml: bool) -> float:
     return value
 
 
+def profiled_per_cluster(stats: SufficientStats, gamma: float, reml: bool):
+    """The profiled problem at one gamma >= 0, assembled cluster by cluster:
+    (value, slope, beta, sigma_e_sq) with w_i = m_i / (1 + m_i gamma),
+    M(gamma) = Z' diag(w) Z + W and the residual sum of squares
+    Q(beta2) + sum_i w_i r_i^2, as in the estimation module's docstring.
+    The reference for its stacked per-size evaluation."""
+    m = stats.m.astype(float)
+    w = m / (1.0 + m * gamma)
+    Z, k = stats.Z, 1 + stats.p_b
+    M = (Z.T * w) @ Z
+    M[k:, k:] += stats.S_w_x
+    rhs = Z.T @ (w * stats.ybar)
+    rhs[k:] += stats.S_w_xy
+    beta = np.linalg.solve(M, rhs)
+    r = stats.ybar - Z @ beta
+    rss = _Q(stats, beta[k:]) + float(np.sum(w * r * r))
+    df = stats.n - (Z.shape[1] if reml else 0)
+    value = 0.5 * float(np.sum(np.log(w))) - 0.5 * df * np.log(rss / df)
+    slope = -0.5 * float(np.sum(w)) + 0.5 * df * float(np.sum((w * r) ** 2)) / rss
+    if reml:
+        value -= 0.5 * np.linalg.slogdet(M)[1]
+        slope += 0.5 * float(np.trace(np.linalg.solve(M, (Z.T * (w * w)) @ Z)))
+    return value, slope, beta, rss / df
+
+
 def best_feasible_gain(ds: ClusteredDataset, theta, reml: bool) -> float:
     """Largest gain of :func:`profiled_objective` over nearby feasible
     points: sigma_alpha_sq = 0, and steps of 1e-3, 1e-2 and 1e-1 up and

@@ -13,6 +13,7 @@ import pytest
 
 from nerm.errors import DegenerateWithinDesign, SingularDelta
 from nerm.estimation import (
+    _solve,
     adjusted_score,
     fit_ml,
     fit_reml,
@@ -28,12 +29,15 @@ from nerm.simulation import (
 )
 
 from .helpers import (
+    Cluster,
     best_feasible_gain,
     close,
     clusters,
     fd_gradient,
     make_dataset,
+    pack,
     profiled_objective,
+    profiled_per_cluster,
     random_dataset,
     random_omega,
     reml_criterion,
@@ -116,6 +120,54 @@ def test_profile_rejects_collinear_design():
     st = sufficient_stats(ds)
     with pytest.raises(SingularDelta):
         profile_beta(st, (1.0, 1.0))
+
+
+def _uneven_dataset(x_b_of=None):
+    """p_b = p_w = 2 over 13 clusters of sizes 1 (four singletons), 2 (one
+    cluster, fewer than q + 1 = 6) and 5 (eight), shuffled."""
+    rng = np.random.default_rng(43)
+    sizes = rng.permutation([1] * 4 + [2] + [5] * 8)
+    records = []
+    for i, m in enumerate(sizes):
+        x_b = rng.normal(size=2) if x_b_of is None else x_b_of(rng)
+        x_w = rng.normal(size=(m, 2))
+        y = 0.3 + x_b @ [0.5, -1.0] + x_w @ [0.8, 0.2] + rng.normal() \
+            + rng.normal(size=m)
+        records.append(Cluster(f"k{i}", y, x_b, x_w))
+    return pack(records, p_b=2, p_w=2)
+
+
+@pytest.mark.parametrize("reml", [False, True])
+def test_stacked_solve_matches_the_per_cluster_assembly(reml):
+    st = sufficient_stats(_uneven_dataset())
+    assert list(st.sizes) == [1, 2, 5] and list(st.counts) == [4, 1, 8]
+    gammas = np.array([0.0, 1e-8, 0.03, 0.7, 1.0, 12.0, 1e4])
+    got = _solve(st, gammas, reml)
+    for i, gamma in enumerate(gammas):
+        value, slope, beta, se = profiled_per_cluster(st, gamma, reml)
+        assert close(got.value[i], value, 1e-12, floor=0.0)
+        assert close(got.slope[i], slope, 1e-12, floor=0.0)
+        assert close(got.beta[i], beta, 1e-12, floor=0.0)
+        assert close(got.sigma_e_sq[i], se, 1e-12, floor=0.0)
+
+
+def test_stacked_solve_rejects_collinear_design_at_gamma_zero():
+    # the second between covariate is twice the first
+    ds = _uneven_dataset(lambda rng: np.array([1.0, 2.0]) * rng.normal())
+    st = sufficient_stats(ds)
+    with pytest.raises(SingularDelta):
+        _solve(st, 0.0)
+    for fit in (fit_ml, fit_reml):
+        with pytest.raises(SingularDelta):
+            fit(ds)
+    # elsewhere rounding may let the factorization pass, but a failure is
+    # never numpy's own LinAlgError
+    for gamma in (1e-8, 0.5, 1.0, 2.0, 3.0, 10.0, 1e3):
+        for reml in (False, True):
+            try:
+                _solve(st, gamma, reml)
+            except SingularDelta:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +313,14 @@ def test_boundary_flag_when_cluster_means_coincide():
     assert fit.omega_hat.sigma_e_sq > 0.1
 
 
+def test_iterations_count_the_gamma_values_evaluated():
+    # the stacked scan counts its 18 points; a fit on the bound brackets
+    # no root and evaluates nothing else, an interior fit goes on solving
+    ds = make_dataset([[-1.0, 1.0], [-2.0, 2.0], [-3.0, 3.0]])
+    assert [fit(ds).iterations for fit in (fit_ml, fit_reml)] == [18, 18]
+    assert fit_ml(TWO_CLUSTER).iterations > 18
+
+
 def _assert_collapsed_within_variance(fit, sa):
     assert fit.boundary_flag
     assert fit.omega_hat.sigma_e_sq < 1e-6
@@ -338,6 +398,31 @@ def test_rejects_within_covariate_without_variation():
                       x_w=[[[1.0], [1.0]], [[2.0], [2.0]]], p_w=1)
     with pytest.raises(DegenerateWithinDesign):
         fit_ml(ds)
+
+
+def _with_x_w_scaled(ds, scale):
+    return type(ds)(y=ds.y, x_w=ds.x_w * scale, x_b=ds.x_b,
+                    offsets=ds.offsets, ids=ds.ids)
+
+
+@pytest.mark.parametrize("fit", [fit_ml, fit_reml])
+def test_within_rank_test_does_not_depend_on_units(fit):
+    ds, _ = random_dataset(np.random.default_rng(44), g=30, m_max=6,
+                           p_b=1, p_w=2)
+    ref = fit(ds).omega_hat.beta2
+    for scale in (1e-20, 1e-8, 1e8):
+        got = fit(_with_x_w_scaled(ds, scale)).omega_hat.beta2 * scale
+        assert close(got, ref, 1e-8, floor=0.0), scale
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_covariate_constant_within_clusters_raises_at_any_scale(scale):
+    # 0.1, 0.7 and 0.3 are not binary fractions: the within deviations are
+    # rounding noise, not zeros
+    ds = make_dataset([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0], [2.0, 2.0, 7.0]],
+                      x_w=[[[v]] * 3 for v in (0.1, 0.7, 0.3)], p_w=1)
+    with pytest.raises(DegenerateWithinDesign):
+        fit_ml(_with_x_w_scaled(ds, scale))
 
 
 def test_fit_reports_counts():

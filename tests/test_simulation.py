@@ -305,6 +305,47 @@ def test_nonfinite_fixed_covariates_fail_every_replicate():
         run_replications(cfg)
 
 
+class _ShortWithinRows:
+    """A covariate model drawing n - 1 within rows; with ``every`` set,
+    only on every ``every``-th draw (counting from the first)."""
+    p_b = p_w = 1
+
+    def __init__(self, every=1):
+        self.every, self.calls = every, 0
+
+    def draw(self, rng, sizes):
+        short = self.calls % self.every == 0
+        self.calls += 1
+        n = int(sizes.sum()) - short
+        return rng.normal(size=(len(sizes), 1)), rng.normal(size=(n, 1))
+
+
+def test_ragged_covariate_draw_fails_its_replicate_only():
+    cfg = SimConfig(g=4, cluster_sizes=3,
+                    true_omega=ParameterVector(0.0, [0.5], 1.0, [0.5], 1.0),
+                    covariate_model=_ShortWithinRows(), seed=8, replications=3)
+    row, ebar = simulation._run_one(cfg, 0)
+    assert row[0] == ("RaggedCovariates: covariate model drew x_b (4, 1) and "
+                      "x_w (11, 1), expected (4, 1) and (12, 1)")
+    # the failed replicate keeps the cluster-mean errors of its stream
+    rng = np.random.default_rng([8, 0, 0])
+    _ShortWithinRows().draw(rng, cfg.sizes)
+    cfg.alpha_dist.sample(rng, 4, 1.0)
+    e = cfg.e_dist.sample(rng, 12, 1.0)
+    assert np.allclose(ebar, e.reshape(4, 3).mean(axis=1), rtol=1e-15, atol=0)
+    with pytest.raises(AllReplicatesFailed,
+                       match=r"^all 3 replicates failed; first error: "
+                             r"RaggedCovariates: "):
+        run_replications(cfg)
+    # ragged on replicates 0 and 2 of 4: the run finishes with two failures
+    s = run_replications(SimConfig(
+        g=4, cluster_sizes=3, true_omega=cfg.true_omega,
+        covariate_model=_ShortWithinRows(every=2), seed=8, replications=4))
+    assert [err.split(":")[0] for err in s.error] == [
+        "RaggedCovariates", "", "RaggedCovariates", ""]
+    assert s.n_ok == 2 and set(s.ebar_moments) == {3}
+
+
 def test_normalized_errors_use_the_scaling_matrix():
     cfg = _plain_config(replications=3)
     s = run_replications(cfg)
