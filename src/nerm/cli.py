@@ -4,7 +4,10 @@ CSV input schema: a header row with columns ``cluster`` (string label),
 ``y`` (response), ``b_1..b_pb`` (between covariates, constant inside a
 cluster) and ``w_1..w_pw`` (within covariates); column order is free,
 numbering must be contiguous from 1.  Clusters are formed by grouping rows
-on the label, in order of first appearance.
+on the label, in order of first appearance.  The data rows are parsed in
+one bulk ``np.loadtxt`` pass; the ``csv`` row reader runs only when that
+pass does not take the file, to report the error with its line number or
+to read quoted fields and numbers that only Python's ``float`` takes.
 
 Exit codes: 0 success, 2 completed with flags raised (variance on the
 boundary, degenerate interval), 1 failure (bad input, singular design).
@@ -22,6 +25,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from array import array
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -87,51 +91,69 @@ def _covariate_columns(header, prefix):
     return [cols[k] for k in sorted(cols)]
 
 
-def read_dataset_csv(path: str) -> ClusteredDataset:
-    """Parse a dataset CSV (see module docstring for the schema).
+def _read_header(reader, path):
+    """Check the header row; returns its width, the column positions of
+    (cluster, y, b_1.., w_1..) and p_b."""
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    twice = sorted({h for h in header if header.count(h) > 1})
+    if twice:
+        raise ParseError(f"{path}: columns named more than once: {twice}")
+    if "cluster" not in header or "y" not in header:
+        raise ParseError(f"{path}: header must contain 'cluster' and 'y'")
+    b_cols = _covariate_columns(header, "b_")
+    w_cols = _covariate_columns(header, "w_")
+    known = {"cluster", "y", *b_cols, *w_cols}
+    extra = [h for h in header if h not in known]
+    if extra:
+        raise ParseError(f"{path}: unrecognized columns {extra}")
+    columns = [header.index(c) for c in ("cluster", "y", *b_cols, *w_cols)]
+    return len(header), columns, len(b_cols)
 
-    Rows are streamed into flat columns, numbered by cluster label in order
-    of first appearance and regrouped stably, so each cluster keeps its rows
-    in file order.
 
-    Raises:
-        ParseError: unreadable file, missing or repeated columns, a row
-            whose field count differs from the header's, non-numeric
-            fields, or a between covariate that varies inside a cluster.
-        NonFiniteValue: NaN or infinity in a response or covariate (see
-            :class:`ClusteredDataset`).
-    """
+def _grouped(labels: dict, code: np.ndarray, data: np.ndarray,
+             p_b: int) -> ClusteredDataset | int:
+    """The dataset of rows ``data`` (y, b_1.., w_1..) with cluster codes
+    ``code``, regrouped stably by code; or, when a between covariate
+    changes inside a cluster, the file row of the first row that changes
+    it, as an int."""
+    order = np.argsort(code, kind="stable")
+    sizes = np.bincount(code)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    data = data[order]
+    b_rows = data[:, 1:1 + p_b]
+    x_b = b_rows[offsets[:-1]]
+    ref = np.repeat(x_b, sizes, axis=0)
+    same = (b_rows == ref) | (np.isnan(b_rows) & np.isnan(ref))   # NaN == NaN
+    changed = ~np.all(same, axis=1)
+    if changed.any():
+        return int(order[changed].min())
+    return ClusteredDataset(y=data[:, 0], x_w=data[:, 1 + p_b:], x_b=x_b,
+                            offsets=offsets, ids=list(labels))
+
+
+def _read_rows(path: str) -> ClusteredDataset:
+    """:func:`read_dataset_csv` one ``csv`` row at a time: slow, but it
+    takes quoted fields and whatever Python's ``float`` takes, and its
+    errors name the line."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        twice = sorted({h for h in header if header.count(h) > 1})
-        if twice:
-            raise ParseError(f"{path}: columns named more than once: {twice}")
-        if "cluster" not in header or "y" not in header:
-            raise ParseError(f"{path}: header must contain 'cluster' and 'y'")
-        b_cols = _covariate_columns(header, "b_")
-        w_cols = _covariate_columns(header, "w_")
-        known = {"cluster", "y", *b_cols, *w_cols}
-        extra = [h for h in header if h not in known]
-        if extra:
-            raise ParseError(f"{path}: unrecognized columns {extra}")
-        fields = itemgetter(*(header.index(c)
-                              for c in ("cluster", "y", *b_cols, *w_cols)))
+        width, columns, p_b = _read_header(reader, path)
+        fields = itemgetter(*columns)
         labels: dict[str, int] = {}
         codes, lines, values = array("q"), array("q"), array("d")
         for row in reader:
-            if len(row) != len(header):
+            if len(row) != width:
                 if not row:
                     continue  # blank line
                 raise ParseError(f"{path}:{reader.line_num}: {len(row)} "
-                                 f"fields, the header has {len(header)}")
+                                 f"fields, the header has {width}")
             label, *numbers = fields(row)
             label = label.strip()
             if not label:
@@ -145,22 +167,58 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
     if not labels:
         raise ParseError(f"{path}: no data rows")
     code = np.frombuffer(codes, dtype=np.int64)
-    order = np.argsort(code, kind="stable")
-    sizes = np.bincount(code)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    data = np.frombuffer(values).reshape(code.size, -1)[order]
-    b_rows = data[:, 1:1 + len(b_cols)]
-    x_b = b_rows[offsets[:-1]]
-    ref = np.repeat(x_b, sizes, axis=0)
-    same = (b_rows == ref) | (np.isnan(b_rows) & np.isnan(ref))   # NaN == NaN
-    changed = ~np.all(same, axis=1)
-    if changed.any():
-        first = int(order[changed].min())
-        label = list(labels)[code[first]]
-        raise ParseError(f"{path}:{lines[first]}: between covariate changes "
-                         f"inside cluster {label!r}")
-    return ClusteredDataset(y=data[:, 0], x_w=data[:, 1 + len(b_cols):],
-                            x_b=x_b, offsets=offsets, ids=list(labels))
+    ds = _grouped(labels, code, np.frombuffer(values).reshape(code.size, -1), p_b)
+    if isinstance(ds, int):
+        raise ParseError(f"{path}:{lines[ds]}: between covariate changes "
+                         f"inside cluster {list(labels)[code[ds]]!r}")
+    return ds
+
+
+def read_dataset_csv(path: str) -> ClusteredDataset:
+    """Parse a dataset CSV (see module docstring for the schema).
+
+    The data rows are parsed in one ``np.loadtxt`` pass, numbered by
+    cluster label in order of first appearance and regrouped stably, so
+    each cluster keeps its rows in file order.  A file that pass does not
+    take as it stands (a quoted field, a number only Python's ``float``
+    reads, any malformed row) is read again by the ``csv`` row reader,
+    which returns the same dataset or raises the error naming the line.
+
+    Raises:
+        ParseError: unreadable file, missing or repeated columns, a row
+            whose field count differs from the header's, non-numeric
+            fields, or a between covariate that varies inside a cluster.
+        NonFiniteValue: NaN or infinity in a response or covariate (see
+            :class:`ClusteredDataset`).
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        width, columns, p_b = _read_header(csv.reader(fh), path)
+        encoding = fh.encoding
+    labels: dict[str, int] = {}
+
+    def number(field: str) -> int:
+        label = field.strip()
+        if not label or '"' in label:   # an error, or csv quoting
+            raise ValueError(field)
+        return labels.setdefault(label, len(labels))
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # no data rows
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              ndmin=2, quotechar=None, encoding=encoding,
+                              converters={columns[0]: number})
+    except ValueError:
+        return _read_rows(path)
+    if rows.shape[1] != width:   # every row ragged alike, or no data rows
+        return _read_rows(path)
+    ds = _grouped(labels, rows[:, columns[0]].astype(np.int64),
+                  rows[:, columns[1:]], p_b)
+    return _read_rows(path) if isinstance(ds, int) else ds
 
 
 def write_dataset_csv(ds: ClusteredDataset, path: str) -> None:

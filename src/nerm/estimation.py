@@ -43,14 +43,17 @@ The other way to leave the interior, sigma_e_sq -> 0, happens only when the
 pooled within residual Q_min is zero to rounding; that is decided before
 the search and answered in closed form, again with ``boundary_flag``.
 Collinearity of the design does not depend on gamma, so ``SingularDelta``
-is decided once, at gamma = 0, the first point of the scan.  The per-size
-sums, S_w_xy and S_w_x come from the dataset's shared ``SufficientStats``;
-``_solve`` alone forms and factors M(gamma), for a vector of gamma at
-once: the scan, each point of the root solve, and any given theta.
+is decided once per dataset, by the rank test ``SufficientStats.collinear``
+on M(0) with the intercept profiled out, and raised at every gamma alike.
+The per-size sums, S_w_xy and S_w_x come from the dataset's shared
+``SufficientStats``; ``_solve`` alone forms and factors M(gamma), for a
+vector of gamma at once: the scan, each point of the root solve, and any
+given theta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,16 +87,17 @@ _GAMMA_TOL = 1e-12   # relative width of a solved bracket
 # the profiled normal equations
 # ---------------------------------------------------------------------------
 
+_COLLINEAR = ("profiled normal equations are singular; the intercept-plus-"
+              "covariate design is collinear")
+
+
 def _factor_solve(M: np.ndarray, b: np.ndarray):
     """(L, M^-1 b) with M = L L'; SingularDelta when either step finds M
     singular."""
     try:
         return np.linalg.cholesky(M), np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularDelta(
-            "profiled normal equations are singular; the intercept-plus-"
-            "covariate design is collinear"
-        ) from exc
+        raise SingularDelta(_COLLINEAR) from exc
 
 
 class _Point(NamedTuple):
@@ -121,6 +125,8 @@ def _solve(stats: SufficientStats, gamma, reml: bool = False) -> _Point:
     the residual sums from the per-size QR factors.  So an evaluation costs
     O(K), and no (S, g) array is formed.
     """
+    if stats.collinear:
+        raise SingularDelta(_COLLINEAR)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     q, k = stats.Z.shape[1], 1 + stats.p_b
     size, G = stats.sizes, stats.G.reshape(stats.sizes.size, -1)
@@ -340,8 +346,8 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
     q_min = stats.S_w_y - float(stats.S_w_xy @ beta2)
     evals = 0
     if q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y):
-        # the search decides SingularDelta at gamma = 0; so does this branch
-        _solve(stats, 0.0)
+        if stats.collinear:   # as the search would raise it
+            raise SingularDelta(_COLLINEAR)
         omega, boundary = _collapsed(ds, beta2, reml), True
     else:
         def at(gamma):
@@ -362,7 +368,7 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
         estimating = adjusted_score(stats, omega)
     else:
         estimating = score(stats, omega)
-    sn = float(np.linalg.norm(estimating))
+    sn = math.hypot(*estimating)   # no overflow in the squares
     return FitResult(
         omega_hat=omega,
         method="reml" if reml else "ml",

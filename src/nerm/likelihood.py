@@ -78,7 +78,8 @@ def score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
     l_beta = stats.Z.T @ tr
     l_beta[1 + stats.p_b:] += (stats.S_w_xy - stats.S_w_x @ omega.beta2) / se
     l_theta = 0.5 * d @ (tr * tr - t)
-    l_theta[1] += _Q(stats, omega.beta2) / (2.0 * se * se) \
+    # two divisions: se * se underflows to 0 for se below about 1e-162
+    l_theta[1] += _Q(stats, omega.beta2) / se / (2.0 * se) \
         - 0.5 * (stats.n - stats.g) / se
     out = np.empty(l_beta.size + 2)
     out[_canonical(stats)] = np.concatenate((l_beta, l_theta))

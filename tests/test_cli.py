@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerm.cli import (
     EXIT_FAIL,
@@ -14,6 +17,7 @@ from nerm.cli import (
     EXIT_OK,
     RunConfig,
     _build_parser,
+    _read_rows,
     _run_config,
     _san,
     _sim_config,
@@ -22,8 +26,8 @@ from nerm.cli import (
     write_dataset_csv,
 )
 from nerm.errors import InvalidConfig, ParseError
-from nerm.model import ParameterVector, SufficientStats
-from nerm.simulation import SimConfig, run_replications
+from nerm.model import ClusteredDataset, ParameterVector, SufficientStats
+from nerm.simulation import SimConfig, generate_dataset, run_replications
 
 from .helpers import Cluster, clusters, make_dataset, pack, random_dataset
 
@@ -135,6 +139,97 @@ def test_read_csv_spaced_header(tmp_path):
 def test_read_csv_missing_file(tmp_path):
     with pytest.raises(ParseError):
         read_dataset_csv(str(tmp_path / "nowhere.csv"))
+
+
+_LABELS = ["a", "b", " a ", "c#", "#"]
+_NUMBERS = ["1", "-2.5", " 1.5 ", "+0.5", "1.", ".5", "1e3", "0"]
+_QUOTED_LABELS = ['"a"', 'b"', '" c"']
+_EMPTY_LABELS = ["", " "]
+_ODD_NUMBERS = ["nan", "-Infinity", "inf", "1_000", "0x10", "", " ", "1 5",
+                '"4"', "#3"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small dataset CSVs in the schema.  Labels, numbers and lines are
+    each either well formed or drawn with the cases that the bulk parse
+    and the row reader might read differently."""
+    labels = _LABELS + draw(st.sampled_from([[], _QUOTED_LABELS, _EMPTY_LABELS]))
+    numbers = _NUMBERS + (_ODD_NUMBERS if draw(st.booleans()) else [])
+    kinds = ["row"] * 8 + ["blank"] \
+        + (["spaces", "short", "long"] if draw(st.booleans()) else [])
+    ragged = draw(st.sampled_from([None] * 4 + ["short", "long"]))
+    names = draw(st.permutations(["cluster", "y", "b_1", "w_1"][
+        :draw(st.integers(2, 4))]))
+    between = {label: draw(st.sampled_from(_NUMBERS)) for label in labels}
+    lines = [",".join(draw(st.sampled_from([n, f" {n}"])) for n in names)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            label = draw(st.sampled_from(labels))
+            fields = []
+            for name in names:
+                if name == "cluster":
+                    fields.append(label)
+                elif name == "b_1" and draw(st.integers(0, 2)):
+                    fields.append(between[label])   # constant in the cluster
+                else:
+                    fields.append(draw(st.sampled_from(numbers)))
+            if "short" in (kind, ragged):
+                fields.pop()
+            if "long" in (kind, ragged):
+                fields.append("1")
+            lines.append(",".join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(read, path):
+    """The arrays and labels a reader returns, or its error."""
+    try:
+        ds = read(path)
+    except Exception as exc:   # both readers must fail alike, whatever it is
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (ds.y, ds.x_w, ds.x_b, ds.offsets)] + [ds.ids.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_read_csv_bulk_parse_matches_the_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "bulk-parse.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(read_dataset_csv, str(path)) == _outcome(_read_rows, str(path))
+
+
+def test_read_csv_memory_stays_near_the_arrays(tmp_path):
+    # the parse may not hold the file's text at once: its peak stays
+    # within 10x the arrays it returns (both readers take about 7x)
+    rng = np.random.default_rng(58)
+    sizes = rng.integers(2, 9, size=4000)
+    n = int(sizes.sum())
+    assert n >= 20_000
+    labels = np.repeat([f"k{i}" for i in range(sizes.size)], sizes)
+    x_b = np.repeat(rng.normal(size=sizes.size), sizes)
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as fh:
+        fh.write("cluster,y,b_1,w_1\n")
+        fh.writelines(f"{c},{a!r},{b!r},{d!r}\n" for c, a, b, d in zip(
+            labels, rng.normal(size=n).tolist(), x_b.tolist(),
+            rng.normal(size=n).tolist()))
+    tracemalloc.start()
+    try:
+        ds = read_dataset_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == n and ds.g == sizes.size
+    arrays = sum(a.nbytes for a in (ds.y, ds.x_w, ds.x_b, ds.offsets))
+    assert peak < 10 * arrays
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -314,6 +409,23 @@ def test_bad_input_fails_with_its_error_line(tmp_path, capsys, command, text, li
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "ci"])
+@pytest.mark.parametrize("method", ["ml", "reml"])
+def test_tiny_response_units_end_without_a_traceback(tmp_path, capsys,
+                                                     command, method):
+    # y in units of 1e-150: sigma_e_sq is about 1e-300, so its square is 0
+    cfg = _sim_config(_run_config(_build_parser().parse_args(
+        ["simulate", "--g", "60", "--m", "8", "--seed", "1"])))
+    ds = generate_dataset(cfg, 0)
+    path = str(tmp_path / "tiny.csv")
+    write_dataset_csv(ClusteredDataset(y=ds.y * 1e-150, x_w=ds.x_w, x_b=ds.x_b,
+                                       offsets=ds.offsets, ids=ds.ids), path)
+    assert main([command, "--input", path, "--method", method]) \
+        in (EXIT_FAIL, EXIT_FLAGGED)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) <= 1 and all(line.startswith("error: ") for line in err)
 
 
 def _strict_json(path):

@@ -160,14 +160,14 @@ def test_stacked_solve_rejects_collinear_design_at_gamma_zero():
     for fit in (fit_ml, fit_reml):
         with pytest.raises(SingularDelta):
             fit(ds)
-    # elsewhere rounding may let the factorization pass, but a failure is
-    # never numpy's own LinAlgError
+    # collinearity is decided once per dataset, so no gamma escapes it
+    # through a rounding-level pivot of the factorization
     for gamma in (1e-8, 0.5, 1.0, 2.0, 3.0, 10.0, 1e3):
         for reml in (False, True):
-            try:
+            with pytest.raises(SingularDelta):
                 _solve(st, gamma, reml)
-            except SingularDelta:
-                pass
+        with pytest.raises(SingularDelta):
+            profile_beta(st, (gamma, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +413,23 @@ def test_within_rank_test_does_not_depend_on_units(fit):
     for scale in (1e-20, 1e-8, 1e8):
         got = fit(_with_x_w_scaled(ds, scale)).omega_hat.beta2 * scale
         assert close(got, ref, 1e-8, floor=0.0), scale
+
+
+@pytest.mark.parametrize("fit", [fit_ml, fit_reml])
+def test_between_rank_test_does_not_depend_on_units_or_offsets(fit):
+    # the collinearity test profiles the intercept out: a between
+    # covariate far from zero next to its spread is not collinear with it
+    # (the fit itself loses digits to the offset, 2e-3 here: ROADMAP item 3)
+    ds, _ = random_dataset(np.random.default_rng(45), g=30, m_max=6,
+                           p_b=2, p_w=1)
+    ref = fit(ds).omega_hat
+    for scale, shift, tol in ((1e-20, 0.0, 1e-8), (1e8, 0.0, 1e-8),
+                              (1.0, 1e6, 1e-2)):
+        got = fit(type(ds)(y=ds.y, x_w=ds.x_w, x_b=ds.x_b * scale + shift,
+                           offsets=ds.offsets, ids=ds.ids)).omega_hat
+        assert close(got.beta1 * scale, ref.beta1, tol, floor=0.0), scale
+        assert close(got.sigma_alpha_sq, ref.sigma_alpha_sq, tol,
+                     floor=0.0), scale
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
