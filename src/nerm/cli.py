@@ -7,7 +7,8 @@ numbering must be contiguous from 1.  Clusters are formed by grouping rows
 on the label, in order of first appearance.  The data rows are parsed in
 one bulk ``np.loadtxt`` pass; the ``csv`` row reader runs only when that
 pass does not take the file, to report the error with its line number or
-to read quoted fields and numbers that only Python's ``float`` takes.
+to read quoted fields and numbers that only Python's ``float`` takes, and
+on input that cannot be rewound, such as a pipe.
 
 Exit codes: 0 success, 2 completed with flags raised (variance on the
 boundary, degenerate interval), 1 failure (bad input, singular design).
@@ -134,36 +135,31 @@ def _grouped(labels: dict, code: np.ndarray, data: np.ndarray,
                             offsets=offsets, ids=list(labels))
 
 
-def _read_rows(path: str) -> ClusteredDataset:
-    """:func:`read_dataset_csv` one ``csv`` row at a time: slow, but it
-    takes quoted fields and whatever Python's ``float`` takes, and its
-    errors name the line."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        width, columns, p_b = _read_header(reader, path)
-        fields = itemgetter(*columns)
-        labels: dict[str, int] = {}
-        codes, lines, values = array("q"), array("q"), array("d")
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue  # blank line
-                raise ParseError(f"{path}:{reader.line_num}: {len(row)} "
-                                 f"fields, the header has {width}")
-            label, *numbers = fields(row)
-            label = label.strip()
-            if not label:
-                raise ParseError(f"{path}:{reader.line_num}: empty cluster label")
-            try:
-                values.extend(map(float, numbers))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{reader.line_num}: non-numeric field") from exc
-            codes.append(labels.setdefault(label, len(labels)))
-            lines.append(reader.line_num)
+def _read_rows(fh, path: str) -> ClusteredDataset:
+    """:func:`read_dataset_csv` one ``csv`` row at a time from the start
+    of the open file ``fh``: slow, but it takes quoted fields and whatever
+    Python's ``float`` takes, and its errors name the line."""
+    reader = csv.reader(fh)
+    width, columns, p_b = _read_header(reader, path)
+    fields = itemgetter(*columns)
+    labels: dict[str, int] = {}
+    codes, lines, values = array("q"), array("q"), array("d")
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue  # blank line
+            raise ParseError(f"{path}:{reader.line_num}: {len(row)} "
+                             f"fields, the header has {width}")
+        label, *numbers = fields(row)
+        label = label.strip()
+        if not label:
+            raise ParseError(f"{path}:{reader.line_num}: empty cluster label")
+        try:
+            values.extend(map(float, numbers))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{reader.line_num}: non-numeric field") from exc
+        codes.append(labels.setdefault(label, len(labels)))
+        lines.append(reader.line_num)
     if not labels:
         raise ParseError(f"{path}: no data rows")
     code = np.frombuffer(codes, dtype=np.int64)
@@ -174,15 +170,44 @@ def _read_rows(path: str) -> ClusteredDataset:
     return ds
 
 
+def _read_bulk(fh, path: str) -> ClusteredDataset | None:
+    """The dataset in the open file ``fh`` from its header and one
+    ``np.loadtxt`` pass over the rows after it, or None when that pass does
+    not take the file as it stands."""
+    width, columns, p_b = _read_header(csv.reader(fh), path)
+    labels: dict[str, int] = {}
+
+    def number(field: str) -> int:
+        label = field.strip()
+        if not label or '"' in label:   # an error, or csv quoting
+            raise ValueError(field)
+        return labels.setdefault(label, len(labels))
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # no data rows
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              quotechar=None, converters={columns[0]: number})
+    except ValueError:
+        return None
+    if rows.shape[1] != width:   # every row ragged alike, or no data rows
+        return None
+    ds = _grouped(labels, rows[:, columns[0]].astype(np.int64),
+                  rows[:, columns[1:]], p_b)
+    return None if isinstance(ds, int) else ds
+
+
 def read_dataset_csv(path: str) -> ClusteredDataset:
     """Parse a dataset CSV (see module docstring for the schema).
 
-    The data rows are parsed in one ``np.loadtxt`` pass, numbered by
-    cluster label in order of first appearance and regrouped stably, so
-    each cluster keeps its rows in file order.  A file that pass does not
-    take as it stands (a quoted field, a number only Python's ``float``
-    reads, any malformed row) is read again by the ``csv`` row reader,
-    which returns the same dataset or raises the error naming the line.
+    The file is opened once.  Its data rows are parsed in one
+    ``np.loadtxt`` pass, numbered by cluster label in order of first
+    appearance and regrouped stably, so each cluster keeps its rows in file
+    order.  A file that pass does not take as it stands (a quoted field, a
+    number only Python's ``float`` reads, any malformed row) is read again
+    from its start by the ``csv`` row reader, which returns the same
+    dataset or raises the error naming the line.  Input that cannot be
+    rewound, such as a pipe, goes to the row reader alone.
 
     Raises:
         ParseError: unreadable file, missing or repeated columns, a row
@@ -196,29 +221,12 @@ def read_dataset_csv(path: str) -> ClusteredDataset:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        width, columns, p_b = _read_header(csv.reader(fh), path)
-        encoding = fh.encoding
-    labels: dict[str, int] = {}
-
-    def number(field: str) -> int:
-        label = field.strip()
-        if not label or '"' in label:   # an error, or csv quoting
-            raise ValueError(field)
-        return labels.setdefault(label, len(labels))
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # no data rows
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                              ndmin=2, quotechar=None, encoding=encoding,
-                              converters={columns[0]: number})
-    except ValueError:
-        return _read_rows(path)
-    if rows.shape[1] != width:   # every row ragged alike, or no data rows
-        return _read_rows(path)
-    ds = _grouped(labels, rows[:, columns[0]].astype(np.int64),
-                  rows[:, columns[1:]], p_b)
-    return _read_rows(path) if isinstance(ds, int) else ds
+        if fh.seekable():
+            ds = _read_bulk(fh, path)
+            if ds is not None:
+                return ds
+            fh.seek(0)
+        return _read_rows(fh, path)
 
 
 def write_dataset_csv(ds: ClusteredDataset, path: str) -> None:

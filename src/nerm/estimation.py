@@ -43,8 +43,8 @@ The other way to leave the interior, sigma_e_sq -> 0, happens only when the
 pooled within residual Q_min is zero to rounding; that is decided before
 the search and answered in closed form, again with ``boundary_flag``.
 Collinearity of the design does not depend on gamma, so ``SingularDelta``
-is decided once per dataset, by the rank test ``SufficientStats.collinear``
-on M(0) with the intercept profiled out, and raised at every gamma alike.
+is decided once per dataset, by whether M(0) factors
+(``SufficientStats.collinear``), and raised at every gamma alike.
 The per-size sums, S_w_xy and S_w_x come from the dataset's shared
 ``SufficientStats``; ``_solve`` alone forms and factors M(gamma), for a
 vector of gamma at once: the scan, each point of the root solve, and any

@@ -342,26 +342,18 @@ class SufficientStats:
 
         Their matrix M(gamma) = sum_k w_k Z_k' Z_k + W (W holds S_w_x in
         the within corner, w_k = m_k / (1 + m_k gamma)) has the same null
-        space at every gamma >= 0, so the test is made once, on M(0) with
-        the intercept profiled out: C = X' diag(m) X + W, X the covariate
-        columns of Z centred at their m-weighted means.  Neither units nor
-        offsets move it.  As in the fits' within rank test, a column counts
-        as constant when its diagonal entry of C is below 1e-24 of its raw
-        sum of squares, and the columns as collinear when C scaled to unit
-        diagonal has an eigenvalue at most 1e-12.
+        space at every gamma >= 0, so whether it factors is decided once,
+        at gamma = 0, and the answer holds at every gamma.
         """
-        X = self.Z[:, 1:]
-        Xc = X - (self.m @ X) / self.n
-        C = (Xc.T * self.m) @ Xc
-        raw = self.m @ (X * X)
-        C[self.p_b:, self.p_b:] += self.S_w_x
-        raw[self.p_b:] += self.S_w_x.diagonal()
-        c = C.diagonal()
-        if (c <= 1e-24 * raw).any():
+        q, k = self.Z.shape[1], 1 + self.p_b
+        M = (self.sizes @ self.G.reshape(self.sizes.size, -1)).reshape(
+            q + 1, q + 1)[:q, :q]
+        M[k:, k:] += self.S_w_x
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
             return True
-        d = np.sqrt(c)
-        return c.size > 0 \
-            and bool(np.linalg.eigvalsh(C / d / d[:, None])[0] <= 1e-12)
+        return False
 
 
 def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:

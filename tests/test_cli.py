@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -188,6 +190,11 @@ def _csv_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+def _row_reader(path):
+    with open(path, newline="") as fh:
+        return _read_rows(fh, path)
+
+
 def _outcome(read, path):
     """The arrays and labels a reader returns, or its error."""
     try:
@@ -203,7 +210,50 @@ def _outcome(read, path):
 def test_read_csv_bulk_parse_matches_the_row_reader(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "bulk-parse.csv"
     path.write_bytes(text.encode())
-    assert _outcome(read_dataset_csv, str(path)) == _outcome(_read_rows, str(path))
+    assert _outcome(read_dataset_csv, str(path)) == _outcome(_row_reader, str(path))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("tail", ["", "z,1,2\n"])   # well formed, or ragged
+def test_read_csv_from_a_pipe_reads_every_row(tmp_path, tail):
+    # input that cannot be rewound is read once, from its first line
+    ds, _ = random_dataset(np.random.default_rng(59), g=400)
+    path = tmp_path / "data.csv"
+    write_dataset_csv(ds, str(path))
+    text = path.read_bytes() + tail.encode()
+    assert len(text) > 64 * 1024   # more than one pipe buffer
+    path.write_bytes(text)
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with open(w, "wb") as fh:
+                fh.write(text)
+        except BrokenPipeError:   # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    pipe = f"/dev/fd/{r}"
+    try:
+        outcome = _outcome(read_dataset_csv, pipe)
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
+    if tail:   # the same error, on the same line
+        assert outcome[1] == _outcome(read_dataset_csv, str(path))[1].replace(
+            str(path), pipe)
+    else:
+        assert outcome == _outcome(read_dataset_csv, str(path))
+        assert read_dataset_csv(str(path)).n == ds.n
+
+
+def test_read_csv_by_content_not_file_name(tmp_path):
+    # a plain CSV whose name ends in .gz is read as the text it holds
+    plain = read_dataset_csv(_write(tmp_path, GOOD_CSV))
+    named = read_dataset_csv(_write(tmp_path, GOOD_CSV, name="data.csv.gz"))
+    assert named.ids.tolist() == plain.ids.tolist()
+    assert np.array_equal(named.y, plain.y) and np.array_equal(named.x_w, plain.x_w)
 
 
 def test_read_csv_memory_stays_near_the_arrays(tmp_path):

@@ -416,10 +416,11 @@ def test_within_rank_test_does_not_depend_on_units(fit):
 
 
 @pytest.mark.parametrize("fit", [fit_ml, fit_reml])
-def test_between_rank_test_does_not_depend_on_units_or_offsets(fit):
-    # the collinearity test profiles the intercept out: a between
-    # covariate far from zero next to its spread is not collinear with it
-    # (the fit itself loses digits to the offset, 2e-3 here: ROADMAP item 3)
+def test_between_covariates_fit_in_any_units_or_offset(fit):
+    # neither units nor a between covariate far from zero next to its
+    # spread make the collinearity test at gamma = 0 call the design
+    # singular (the fit itself loses digits to the offset, 2e-3 here:
+    # ROADMAP item 3)
     ds, _ = random_dataset(np.random.default_rng(45), g=30, m_max=6,
                            p_b=2, p_w=1)
     ref = fit(ds).omega_hat
