@@ -146,17 +146,22 @@ class CovariateLimits:
 class MomentEstimates:
     """Plug-in third/fourth moments of the cluster effects and fourth
     moment of the residuals: the moments C reads.  No E e^3 enters, since
-    the within covariates are cluster-centred."""
+    the within covariates are cluster-centred.
+
+    The moments are in units of ``unit`` for a variance: a third moment in
+    units of unit^1.5, a fourth in units of unit^2; 1 is the data's own.
+    """
 
     mu3_alpha: float
     mu4_alpha: float
     mu4_e: float
+    unit: float = 1.0
 
     def __post_init__(self) -> None:
-        vals = (self.mu3_alpha, self.mu4_alpha, self.mu4_e)
-        if not all(np.isfinite(v) for v in vals):
+        vals = (self.mu3_alpha, self.mu4_alpha, self.mu4_e, self.unit)
+        if not all(np.isfinite(v) for v in vals) or self.unit <= 0.0:
             raise NonFiniteValue("moment estimates must be finite")
-        for name in ("mu3_alpha", "mu4_alpha", "mu4_e"):
+        for name in ("mu3_alpha", "mu4_alpha", "mu4_e", "unit"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
@@ -172,7 +177,8 @@ def matrix_C(limits: CovariateLimits, theta_dot,
     [[1, c1'], [c1, C2]] taken by blocks, with an E alpha^3 coupling
     between beta0 and sigma_alpha_sq, E alpha^4 - sigma_alpha_sq^2 for
     sigma_alpha_sq, sigma_e_sq C3^-1 for beta2 and E e^4 - sigma_e_sq^2
-    for sigma_e_sq; all other cells vanish.
+    for sigma_e_sq; all other cells vanish.  ``theta_dot`` is in the units
+    of ``moments.unit``, and so is C.
     """
     sa, se = float(theta_dot[0]), float(theta_dot[1])
     dim, i0, i1, ia, i2, ie = parameter_layout(limits.p_b, limits.p_w)
@@ -209,18 +215,22 @@ def estimate_moments(ds: ClusteredDataset, fit: FitResult) -> MomentEstimates:
     Cluster-level: empirical third/fourth moments of the cluster-mean
     residuals ybar_i - z_i' beta_hat.  Observation-level: fourth moment of
     the within-centered residuals (y_ij - ybar_i) - (x_w_ij - xbar_w_i)' beta2_hat,
-    averaged over all n observations.
+    averaged over all n observations.  They are formed in units of the
+    fitted standard deviation, so they stay finite doubles at any scale of
+    y: the unit is a power of 4 within a factor 2 of the fitted
+    sigma_e_sq, so that every rescaling by it is exact.
     """
     om = fit.omega_hat
     stats = sufficient_stats(ds)
-    rb = stats.ybar - stats.Z @ om.beta
-    mu3_a = float(np.mean(rb**3))
-    mu4_a = float(np.mean(rb**4))
-    dy = (ds.y - np.repeat(stats.ybar, stats.m)) \
-        - (ds.x_w - np.repeat(stats.xbar_w, stats.m, axis=0)) @ om.beta2
+    e = math.frexp(om.sigma_e_sq)[1]
+    sd = math.ldexp(1.0, e // 2)   # unit = sd^2 = 4^(e // 2)
+    rb = (stats.ybar - stats.Z @ om.beta) / sd
+    dy = ((ds.y - np.repeat(stats.ybar, stats.m))
+          - (ds.x_w - np.repeat(stats.xbar_w, stats.m, axis=0)) @ om.beta2) / sd
     dy2 = dy * dy
-    return MomentEstimates(mu3_alpha=mu3_a, mu4_alpha=mu4_a,
-                           mu4_e=float(dy2 @ dy2) / stats.n)
+    return MomentEstimates(mu3_alpha=float(np.mean(rb**3)),
+                           mu4_alpha=float(np.mean(rb**4)),
+                           mu4_e=float(dy2 @ dy2) / stats.n, unit=sd * sd)
 
 
 @dataclass(frozen=True)
@@ -266,7 +276,8 @@ def confidence_intervals(fit: FitResult, limits: CovariateLimits,
                                f"{limits.p_w}), the fit ({om.p_b}, {om.p_w})")
     z = normal_quantile(1.0 - gamma / 2.0)
     level = 1.0 - gamma
-    C = matrix_C(limits, om.theta, moments)
+    u = moments.unit   # C and v in the moments' units, the endpoints in the data's
+    C = matrix_C(limits, (om.sigma_alpha_sq / u, om.sigma_e_sq / u), moments)
     v = np.diag(C) / normalization(fit.g, fit.n, om.p_b, om.p_w)
     _, i0, _, ia, _, ie = parameter_layout(om.p_b, om.p_w)
     out: list[ConfidenceInterval] = []
@@ -274,7 +285,7 @@ def confidence_intervals(fit: FitResult, limits: CovariateLimits,
                                         om.flatten().tolist())):
         source = "extension" if k in (i0, ie) else "standard"
         if k not in (ia, ie):
-            half = z * math.sqrt(v[k])
+            half = z * math.sqrt(v[k] * u)
             out.append(ConfidenceInterval(name, est, est - half, est + half,
                                           level, source))
         elif C[k, k] <= 0.0:
@@ -283,7 +294,7 @@ def confidence_intervals(fit: FitResult, limits: CovariateLimits,
         else:
             # A floor-pinned variance makes the exponent astronomically
             # large; the honest limit is then (0, inf), not an overflow.
-            x = z * math.sqrt(v[k]) / est
+            x = z * math.sqrt(v[k]) / (est / u)
             hi = est * math.exp(x) if x < 700.0 else math.inf
             out.append(ConfidenceInterval(name, est, est * math.exp(-x), hi,
                                           level, source))

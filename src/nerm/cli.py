@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import CovariateLimits, confidence_intervals, estimate_moments
 from .errors import InvalidConfig, NermError, ParseError
-from .estimation import FitResult, fit_ml, fit_reml
+from .estimation import FitResult, fit_batch
 from .model import (
     ClusteredDataset,
     ParameterVector,
@@ -138,28 +138,32 @@ def _grouped(labels: dict, code: np.ndarray, data: np.ndarray,
 def _read_rows(fh, path: str) -> ClusteredDataset:
     """:func:`read_dataset_csv` one ``csv`` row at a time from the start
     of the open file ``fh``: slow, but it takes quoted fields and whatever
-    Python's ``float`` takes, and its errors name the line."""
+    Python's ``float`` takes, and its errors name the line, ``csv``'s own
+    (such as a field over its size limit) too."""
     reader = csv.reader(fh)
-    width, columns, p_b = _read_header(reader, path)
-    fields = itemgetter(*columns)
     labels: dict[str, int] = {}
     codes, lines, values = array("q"), array("q"), array("d")
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue  # blank line
-            raise ParseError(f"{path}:{reader.line_num}: {len(row)} "
-                             f"fields, the header has {width}")
-        label, *numbers = fields(row)
-        label = label.strip()
-        if not label:
-            raise ParseError(f"{path}:{reader.line_num}: empty cluster label")
-        try:
-            values.extend(map(float, numbers))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{reader.line_num}: non-numeric field") from exc
-        codes.append(labels.setdefault(label, len(labels)))
-        lines.append(reader.line_num)
+    try:
+        width, columns, p_b = _read_header(reader, path)
+        fields = itemgetter(*columns)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue  # blank line
+                raise ParseError(f"{path}:{reader.line_num}: {len(row)} "
+                                 f"fields, the header has {width}")
+            label, *numbers = fields(row)
+            label = label.strip()
+            if not label:
+                raise ParseError(f"{path}:{reader.line_num}: empty cluster label")
+            try:
+                values.extend(map(float, numbers))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: non-numeric field") from exc
+            codes.append(labels.setdefault(label, len(labels)))
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not labels:
         raise ParseError(f"{path}: no data rows")
     code = np.frombuffer(codes, dtype=np.int64)
@@ -174,7 +178,10 @@ def _read_bulk(fh, path: str) -> ClusteredDataset | None:
     """The dataset in the open file ``fh`` from its header and one
     ``np.loadtxt`` pass over the rows after it, or None when that pass does
     not take the file as it stands."""
-    width, columns, p_b = _read_header(csv.reader(fh), path)
+    try:
+        width, columns, p_b = _read_header(csv.reader(fh), path)
+    except csv.Error:   # the row reader names the line
+        return None
     labels: dict[str, int] = {}
 
     def number(field: str) -> int:
@@ -360,12 +367,15 @@ def _load_input(cfg: RunConfig) -> ClusteredDataset:
     return ds
 
 
-def _methods(cfg: RunConfig):
-    if cfg.method == "ml":
-        return [("ml", fit_ml)]
-    if cfg.method == "reml":
-        return [("reml", fit_reml)]
-    return [("ml", fit_ml), ("reml", fit_reml)]
+def _fits(cfg: RunConfig, ds: ClusteredDataset) -> dict:
+    """The fits ``--method`` asks for, by name, fitted together; the first
+    failed one is raised."""
+    methods = ("ml", "reml") if cfg.method == "both" else (cfg.method,)
+    fits = dict(zip(methods, fit_batch([ds], methods)[0]))
+    for fit in fits.values():
+        if isinstance(fit, NermError):
+            raise fit
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +384,7 @@ def _methods(cfg: RunConfig):
 
 def cmd_fit(cfg: RunConfig) -> int:
     """Fit the model to a CSV dataset and emit a JSON report."""
-    ds = _load_input(cfg)
-    fits = {name: fn(ds) for name, fn in _methods(cfg)}
+    fits = _fits(cfg, _load_input(cfg))
     payload = {
         "command": "fit",
         "input": cfg.input,
@@ -390,7 +399,7 @@ def cmd_ci(cfg: RunConfig) -> int:
     """Fit, then emit confidence intervals for every parameter."""
     ds = _load_input(cfg)
     # fit first: a dataset a fit rejects must fail with the fit's error
-    fits = {name: fn(ds) for name, fn in _methods(cfg)}
+    fits = _fits(cfg, ds)
     limits = CovariateLimits.from_dataset(ds)
     results = {}
     flagged = False

@@ -34,32 +34,40 @@ the between rows of the clusters of size m_k and R_k its QR factor,
     sum_i w_i r_i^2 = sum_k w_k ||R_k (-beta; 1)||^2,
 
 and likewise with w_k^2 for the slope.  An evaluation costs O(K), not
-O(g).  A fixed log-spaced scan of gamma guards against a second mode; its
-18 points are one stacked evaluation.  A bracketed false-position solve
-(Illinois variant) finds each root of the derivative the scan brackets.
-gamma = 0 is the only boundary: when the derivative there is <= 0 the fit
-is reported with ``boundary_flag`` and sigma_alpha_sq = FLOOR * sigma_e_sq.
-The other way to leave the interior, sigma_e_sq -> 0, happens only when the
-pooled within residual Q_min is zero to rounding; that is decided before
-the search and answered in closed form, again with ``boundary_flag``.
-Collinearity of the design does not depend on gamma, so ``SingularDelta``
-is decided once per dataset, by whether M(0) factors
-(``SufficientStats.collinear``), and raised at every gamma alike.
-The per-size sums, S_w_xy and S_w_x come from the dataset's shared
-``SufficientStats``; ``_solve`` alone forms and factors M(gamma), for a
-vector of gamma at once: the scan, each point of the root solve, and any
-given theta.
+O(g).  Fits whose datasets share their cluster sizes share w, so they are
+searched together: each (dataset, method) pair is one row of a stack, and
+every evaluation is one stacked call over the rows that need a point.  A
+fixed log-spaced scan of gamma guards against a second mode; its 18
+points of every row are one evaluation.  A bracketed false-position solve
+(Illinois variant) finds each root of the derivative the scan brackets,
+all brackets in step.  gamma = 0 is the only boundary: when the derivative
+there is <= 0 the fit is reported with ``boundary_flag`` and
+sigma_alpha_sq = FLOOR * sigma_e_sq.  The other way to leave the interior,
+sigma_e_sq -> 0, happens only when the pooled within residual Q_min is
+zero to rounding; that is decided per dataset before the search and
+answered in closed form, again with ``boundary_flag``.  Collinearity of
+the design does not depend on gamma, so ``SingularDelta`` is decided once
+per dataset, by whether M(0) factors (``SufficientStats.collinear``), and
+raised at every gamma alike.  ``_solve`` alone forms and factors M(gamma),
+for every row and gamma of a stack at once; each row's numbers depend on
+that row alone, never on the rest of the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWithinDesign, EmptyDataset, SingularDelta
+from .errors import (
+    DegenerateWithinDesign,
+    EmptyDataset,
+    InvalidConfig,
+    NermError,
+    SingularDelta,
+)
 from .likelihood import log_likelihood, score
 from .model import (
     ClusteredDataset,
@@ -74,6 +82,7 @@ __all__ = [
     "FitResult",
     "profile_beta",
     "adjusted_score",
+    "fit_batch",
     "fit_ml",
     "fit_reml",
 ]
@@ -91,75 +100,107 @@ _COLLINEAR = ("profiled normal equations are singular; the intercept-plus-"
               "covariate design is collinear")
 
 
-def _factor_solve(M: np.ndarray, b: np.ndarray):
-    """(L, M^-1 b) with M = L L'; SingularDelta when either step finds M
+def _factor_solve(M: np.ndarray, b: np.ndarray, reml: np.ndarray):
+    """(L, M^-1 b) with M = L L', the rows that are not ``reml`` solved for
+    b's first column alone (the rest left 0), so that a row's arithmetic
+    follows its method alone; SingularDelta when either step finds M
     singular."""
     try:
-        return np.linalg.cholesky(M), np.linalg.solve(M, b)
+        L, x = np.linalg.cholesky(M), np.zeros_like(b)
+        for rows, width in ((~reml, 1), (reml, b.shape[-1])):
+            if rows.any():
+                x[rows, ..., :width] = np.linalg.solve(M[rows], b[rows, ..., :width])
+        return L, x
     except np.linalg.LinAlgError as exc:
         raise SingularDelta(_COLLINEAR) from exc
 
 
-class _Point(NamedTuple):
-    """The profiled problem at gamma: one value per field, or one row per
-    gamma of a vector."""
-    gamma: float
-    value: float      # profiled objective, up to a constant
-    slope: float      # its derivative in gamma
-    beta: np.ndarray
-    sigma_e_sq: float
-    L: np.ndarray     # M(gamma) = L L'
-    trace: float      # tr{M^-1 Z' diag(w^2) Z} for REML, 0 for ML
+class _Rows(NamedTuple):
+    """The statistics of fits that share their cluster sizes, stacked: one
+    row per (dataset, method)."""
+    sizes: np.ndarray     # (K,) distinct cluster sizes, shared
+    counts: np.ndarray    # (K,) clusters of each size, shared
+    G: np.ndarray         # (B, K, q + 1, q + 1) per-size cross products
+    R: np.ndarray         # (B, K, q + 1, q + 1) their QR factors
+    S_w_x: np.ndarray     # (B, p_w, p_w)
+    S_w_xy: np.ndarray    # (B, p_w)
+    S_w_y: np.ndarray     # (B,)
+    reml: np.ndarray      # (B,) bool
 
-    def row(self, i: int) -> _Point:
-        return _Point(*(field[i] for field in self))
+    def take(self, i) -> _Rows:
+        """The rows ``i``, in that order."""
+        return _Rows(self.sizes, self.counts, *(f[i] for f in self[2:]))
 
 
-def _solve(stats: SufficientStats, gamma, reml: bool = False) -> _Point:
-    """The one place that forms and factors M(gamma) and solves the normal
-    equations, at every gamma of a vector in one stacked call; returns the
-    coefficients, sigma_e_sq, objective and slope per gamma, as rows.
-
-    Every sum over clusters is a sum over the K distinct sizes of
-    ``stats``: M and the right-hand side from the per-size cross products,
-    the residual sums from the per-size QR factors.  So an evaluation costs
-    O(K), and no (S, g) array is formed.
-    """
-    if stats.collinear:
+def _rows(stats: Sequence[SufficientStats], reml) -> _Rows:
+    """One row per entry of ``stats``, all with the cluster sizes of the
+    first; SingularDelta when a design is collinear."""
+    if any(s.collinear for s in stats):
         raise SingularDelta(_COLLINEAR)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    q, k = stats.Z.shape[1], 1 + stats.p_b
-    size, G = stats.sizes, stats.G.reshape(stats.sizes.size, -1)
-    w = size / (1.0 + gamma[:, None] * size)               # (S, K)
-    A = (w @ G).reshape(-1, q + 1, q + 1)    # sum_k w_k A_k' A_k
-    M, rhs = A[:, :q, :q], A[:, :q, q:]
-    M[:, k:, k:] += stats.S_w_x
-    rhs[:, k:, 0] += stats.S_w_xy
-    if reml:   # M^-1 (rhs | Z' diag(w^2) Z) in one solve
-        H = ((w * w) @ G).reshape(-1, q + 1, q + 1)[:, :q, :q]
-        rhs = np.concatenate((rhs, H), axis=2)
-    L, x = _factor_solve(M, rhs)
-    beta = x[:, :, 0]
-    trace = np.trace(x[:, :, 1:], axis1=1, axis2=2)   # 0 for ML: no H
+    return _Rows(stats[0].sizes, stats[0].counts,
+                 *(np.stack([getattr(s, f) for s in stats]) for f in _Rows._fields[2:7]),
+                 np.asarray(reml, dtype=bool))
+
+
+class _Point(NamedTuple):
+    """The profiled problem at a (rows, points) array of gamma: every field
+    leads with those two axes."""
+    gamma: np.ndarray
+    value: np.ndarray      # profiled objective, up to a constant
+    slope: np.ndarray      # its derivative in gamma
+    beta: np.ndarray
+    sigma_e_sq: np.ndarray
+    L: np.ndarray          # M(gamma) = L L'
+    trace: np.ndarray      # tr{M^-1 Z' diag(w^2) Z} for REML, 0 for ML
+
+
+def _solve(rows: _Rows, gamma) -> _Point:
+    """The one place that forms and factors M(gamma) and solves the normal
+    equations, at every gamma of a (rows, points) array in one stacked
+    call; returns the coefficients, sigma_e_sq, objective and slope there.
+
+    Every sum over clusters is a sum over the K distinct sizes: M and the
+    right-hand side from the per-size cross products, the residual sums
+    from the per-size QR factors.  So an evaluation costs O(K), and no
+    array over the clusters is formed.  Each row goes through the same
+    per-row operations whatever the other rows are, so its numbers do not
+    depend on them.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    nrow, npt = gamma.shape
+    q = rows.R.shape[-1] - 1
+    k = q - rows.S_w_x.shape[-1]
+    size, G = rows.sizes, rows.G.reshape(nrow, rows.sizes.size, -1)
+    w = size / (1.0 + gamma[..., None] * size)             # (B, S, K)
+    A = (w @ G).reshape(nrow, npt, q + 1, q + 1)           # sum_k w_k A_k' A_k
+    M, rhs = A[..., :q, :q], A[..., :q, q:]
+    M[..., k:, k:] += rows.S_w_x[:, None]
+    rhs[..., k:, 0] += rows.S_w_xy[:, None]
+    H = ((w * w) @ G).reshape(A.shape)[..., :q, :q]        # for the trace
+    L, x = _factor_solve(M, np.concatenate((rhs, H), axis=-1), rows.reml)
+    beta = x[..., 0]                                       # (B, S, q)
+    trace = np.trace(x[..., 1:], axis1=-2, axis2=-1)       # 0 for ML
     # ||R_k (-beta; 1)||^2: the residual sum of squares of size k's means
-    Rt = np.swapaxes(stats.R, 1, 2)
-    e2 = ((Rt[:, q, None] - beta @ Rt[:, :q]) ** 2).sum(axis=2).T   # (S, K)
-    b2 = beta[:, k:]
-    rss = stats.S_w_y - 2.0 * (b2 @ stats.S_w_xy) \
-        + ((b2 @ stats.S_w_x) * b2).sum(axis=1) + (w * e2).sum(axis=1)
-    df = stats.n - (q if reml else 0)
-    value = 0.5 * (np.log(w) @ stats.counts) - 0.5 * df * np.log(rss / df)
-    slope = -0.5 * (w @ stats.counts) + 0.5 * df * (w * w * e2).sum(axis=1) / rss
-    if reml:
-        value = value - np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        slope = slope + 0.5 * trace
-    return _Point(gamma, value, slope, beta, rss / df, L, trace)
+    Rt = np.swapaxes(rows.R, -1, -2)
+    e = Rt[:, :, None, q] - beta[:, None] @ Rt[:, :, :q]   # (B, K, S, q + 1)
+    e2 = np.swapaxes((e * e).sum(axis=-1), 1, 2)           # (B, S, K)
+    b2 = beta[..., k:]
+    rss = rows.S_w_y[:, None] - 2.0 * (b2 @ rows.S_w_xy[..., None])[..., 0] \
+        + ((b2 @ rows.S_w_x) * b2).sum(axis=-1) + (w * e2).sum(axis=-1)
+    df = (rows.counts @ size - q * rows.reml)[:, None]     # n, or n - q for REML
+    value = 0.5 * (np.log(w) @ rows.counts) - 0.5 * df * np.log(rss / df)
+    slope = -0.5 * (w @ rows.counts) + 0.5 * df * (w * w * e2).sum(axis=-1) / rss
+    logdet = np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    reml = rows.reml[:, None]
+    return _Point(gamma, np.where(reml, value - logdet, value),
+                  np.where(reml, slope + 0.5 * trace, slope),
+                  beta, rss / df, L, trace)
 
 
 def _at_theta(stats: SufficientStats, theta, reml: bool = False) -> _Point:
-    """:func:`_solve` at gamma = sigma_alpha_sq / sigma_e_sq."""
+    """:func:`_solve` at gamma = sigma_alpha_sq / sigma_e_sq, one row."""
     tau(theta, 1.0)   # NonPositiveVariance unless both are finite and > 0
-    return _solve(stats, float(theta[0]) / float(theta[1]), reml).row(0)
+    return _solve(_rows([stats], [reml]), [[float(theta[0]) / float(theta[1])]])
 
 
 def profile_beta(stats: SufficientStats, theta):
@@ -178,7 +219,8 @@ def profile_beta(stats: SufficientStats, theta):
         SingularDelta: collinear design.
     """
     p = _at_theta(stats, theta)
-    return p.beta, (p.L @ p.L.T) / float(theta[1])
+    L = p.L[0, 0]
+    return p.beta[0, 0], (L @ L.T) / float(theta[1])
 
 
 def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVector:
@@ -186,7 +228,8 @@ def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVecto
     return ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
 
 
-def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
+def adjusted_score(stats: SufficientStats, omega: ParameterVector,
+                   trace: float | None = None) -> np.ndarray:
     """REML estimating function: the score with trace-corrected variance entries.
 
     The coefficient entries coincide with the plain score; the variance
@@ -200,63 +243,82 @@ def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray
     With tau_i = w_i / sigma_e_sq and w_i^2 / m_i = w_i - gamma w_i^2, the
     two traces are -T / sigma_e_sq and -(q - gamma T) / sigma_e_sq, where
     T = tr{M^-1 Z' diag(w^2) Z} is the REML term of the profiled slope.
+    ``trace`` is T at omega's theta when the caller has solved there
+    already; otherwise it is solved for here.
     """
     se = omega.sigma_e_sq
-    p = _at_theta(stats, omega.theta, reml=True)
+    if trace is None:
+        trace = _at_theta(stats, omega.theta, reml=True).trace[0, 0]
     out = score(stats, omega)
     _, _, _, ia, _, ie = parameter_layout(stats.p_b, stats.p_w)
-    out[ia] += 0.5 * p.trace / se
-    out[ie] += 0.5 * (stats.Z.shape[1] - p.gamma * p.trace) / se
+    out[ia] += 0.5 * trace / se
+    out[ie] += 0.5 * (stats.Z.shape[1] - omega.sigma_alpha_sq / se * trace) / se
     return out
 
 
 # ---------------------------------------------------------------------------
-# the scalar problem in gamma
+# the scalar problem in gamma, for a stack of rows
 # ---------------------------------------------------------------------------
 
-def _root(at, lo: _Point, hi: _Point) -> _Point:
-    """Root of the slope in [lo, hi], lo.slope > 0 >= hi.slope, by Illinois
-    false position; returns the positive end point with the smaller |slope|."""
-    f_lo, f_hi, kept = lo.slope, hi.slope, 0
-    for _ in range(100):
-        if hi.slope == 0.0 or hi.gamma - lo.gamma <= _GAMMA_TOL * hi.gamma:
-            break
-        c = (lo.gamma * f_hi - hi.gamma * f_lo) / (f_hi - f_lo)
-        if not lo.gamma < c < hi.gamma:
-            c = 0.5 * (lo.gamma + hi.gamma)
-        p = at(c).row(0)
-        if p.slope > 0.0:
-            lo, f_lo = p, p.slope
-            f_hi *= 0.5 if kept == 1 else 1.0
-            kept = 1
-        else:
-            hi, f_hi = p, p.slope
-            f_lo *= 0.5 if kept == -1 else 1.0
-            kept = -1
-    return lo if lo.gamma > 0.0 and lo.slope < -hi.slope else hi
+def _maximize(rows: _Rows):
+    """Best local maximum of every row's profiled objective over gamma >= 0.
 
-
-def _search(at):
-    """Best local maximum of the profiled objective over gamma >= 0.
-
-    Returns (point, at_boundary).  The scan, one stacked evaluation,
-    starts at gamma = 0 and FLOOR and runs in decades; it goes on past 1e8
-    one point at a time while the slope is positive.
+    The scan starts at gamma = 0 and FLOOR and runs in decades, on past 1e8
+    a decade per evaluation while a row's slope stays positive.  Each
+    bracket of a sign change is then solved by Illinois false position, a
+    point per live bracket per evaluation.  Returns per row: gamma, beta,
+    sigma_e_sq, whether gamma = 0 won, and how many gamma were evaluated.
     """
-    scan = at(_SCAN)
-    pts = [scan.row(i) for i in range(_SCAN.size)]
+    nrow = rows.S_w_y.size
+    pts = list(_solve(rows, np.tile(_SCAN, (nrow, 1)))[:5])
+    grow = ~(pts[2][:, -1] <= 0.0)   # pts: gamma, value, slope, beta, s_e^2
     for _ in range(40):
-        if pts[-1].slope <= 0.0:
+        if not grow.any():
             break
-        pts.append(at(10.0 * pts[-1].gamma).row(0))
-    # gamma = 0 wins the KKT check when the slope there is <= 0; it is
-    # reported at gamma = FLOOR, the second scan point.
-    candidates = [(pts[1], True)] if pts[0].slope <= 0.0 else []
-    candidates += [(_root(at, a, b), False) for a, b in zip(pts, pts[1:])
-                   if a.slope > 0.0 >= b.slope]
-    if not candidates:   # slope still positive far past any sane gamma
-        candidates = [(pts[-1], False)]
-    return max(candidates, key=lambda c: c[0].value)
+        i = np.flatnonzero(grow)
+        p = _solve(rows.take(i), 10.0 * pts[0][i, -1:])
+        pts = [np.concatenate((a, np.full_like(a[:, :1], np.nan)), axis=1)
+               for a in pts]
+        for a, b in zip(pts, p):
+            a[i, -1] = b[:, 0]
+        grow[i] = ~(p.slope[:, 0] <= 0.0)
+    evals = np.count_nonzero(~np.isnan(pts[0]), axis=1)
+    last, slope = evals - 1, pts[2]
+
+    br, bc = np.nonzero((slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0))
+    ends = [np.stack((a[br, bc], a[br, bc + 1])) for a in pts]   # low, high
+    g_, s_, f = ends[0], ends[2], ends[2].copy()
+    kept = np.full(br.size, -1)   # the end the last point replaced
+    live = np.ones(br.size, dtype=bool)
+    for _ in range(100):
+        live &= ~((s_[1] == 0.0) | (g_[1] - g_[0] <= _GAMMA_TOL * g_[1]))
+        if not live.any():
+            break
+        j = np.flatnonzero(live)
+        lo, hi = g_[0, j], g_[1, j]
+        c = (lo * f[1, j] - hi * f[0, j]) / (f[1, j] - f[0, j])
+        c = np.where((lo < c) & (c < hi), c, 0.5 * (lo + hi))
+        p = _solve(rows.take(br[j]), c[:, None])
+        evals += np.bincount(br[j], minlength=nrow)
+        side = np.where(p.slope[:, 0] > 0.0, 0, 1)
+        for a, b in zip(ends, p):
+            a[side, j] = b[:, 0]
+        f[1 - side, j] *= np.where(kept[j] == side, 0.5, 1.0)
+        f[side, j], kept[j] = p.slope[:, 0], side
+    # a root is the positive end with the smaller |slope|
+    end = np.where((g_[0] > 0.0) & (s_[0] < -s_[1]), 0, 1)
+
+    # candidates: gamma = 0 when it wins the KKT check (reported at FLOOR,
+    # the second scan point), then the roots; a row with neither keeps its
+    # last point, its slope still positive far past any sane gamma
+    at_zero = np.flatnonzero(slope[:, 0] <= 0.0)
+    alone = np.setdiff1d(np.arange(nrow), np.concatenate((at_zero, br)))
+    row = np.concatenate((at_zero, br, alone))
+    cand = [np.concatenate((a[at_zero, 1], e[end, np.arange(br.size)],
+                            a[alone, last[alone]])) for a, e in zip(pts, ends)]
+    order = np.lexsort((-cand[1], row))   # per row the largest, the first
+    pick = order[np.unique(row[order], return_index=True)[1]]
+    return cand[0][pick], cand[3][pick], cand[4][pick], pick < at_zero.size, evals
 
 
 def _collapsed(ds: ClusteredDataset, beta2: np.ndarray,
@@ -331,7 +393,10 @@ def _within_beta2(stats: SufficientStats) -> np.ndarray:
     return np.linalg.solve(S, stats.S_w_xy)
 
 
-def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
+def _prepare(ds: ClusteredDataset):
+    """What a fit of ``ds`` decides before any search: raises its failure,
+    or returns (ds, statistics, within estimator beta2, whether sigma_e_sq
+    collapses)."""
     if ds.g < 2:
         raise EmptyDataset(f"need at least 2 clusters, got {ds.g}")
     if ds.n <= ds.g:
@@ -341,45 +406,112 @@ def _fit(ds: ClusteredDataset, reml: bool) -> FitResult:
         )
     stats = sufficient_stats(ds)
     beta2 = _within_beta2(stats)
+    if stats.collinear:
+        raise SingularDelta(_COLLINEAR)
     # Q_min is zero to rounding when it cancels against S_w_y, or when the
     # within deviations themselves are at the rounding level of y
     q_min = stats.S_w_y - float(stats.S_w_xy @ beta2)
-    evals = 0
-    if q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y):
-        if stats.collinear:   # as the search would raise it
-            raise SingularDelta(_COLLINEAR)
-        omega, boundary = _collapsed(ds, beta2, reml), True
-    else:
-        def at(gamma):
-            nonlocal evals
-            p = _solve(stats, gamma, reml)
-            evals += p.gamma.size
-            return p
+    return ds, stats, beta2, \
+        q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y)
 
-        best, boundary = _search(at)
-        se = best.sigma_e_sq
-        omega = _omega_at(stats, best.beta, (best.gamma * se, se))
 
-    val = log_likelihood(stats, omega)
-    if reml:   # - (1/2) log det Delta, Delta = L L' / sigma_e_sq
-        L = _at_theta(stats, omega.theta).L
-        val -= float(np.sum(np.log(np.diag(L)))) \
-            - 0.5 * L.shape[0] * np.log(omega.sigma_e_sq)
-        estimating = adjusted_score(stats, omega)
-    else:
-        estimating = score(stats, omega)
-    sn = math.hypot(*estimating)   # no overflow in the squares
-    return FitResult(
-        omega_hat=omega,
-        method="reml" if reml else "ml",
-        converged=bool(sn < 1e-8 * (1.0 + abs(val))),
-        iterations=evals,
-        score_norm=sn,
-        boundary_flag=boundary,
-        loglik_at_opt=float(val),
-        g=stats.g,
-        n=stats.n,
-    )
+def _fit_group(group: list, methods) -> list:
+    """:func:`fit_batch` of datasets that share their cluster sizes, each
+    given as :func:`_prepare` returns it."""
+    try:
+        cells = [(d, m == "reml") for d in group for m in methods]
+        rows = _rows([d[1] for d, _ in cells], [reml for _, reml in cells])
+        search = [c for c, (d, _) in enumerate(cells) if not d[3]]
+        found = zip(*_maximize(rows.take(search))) if search else iter(())
+        fits = []
+        for (ds, stats, beta2, collapsed), reml in cells:
+            try:
+                if collapsed:
+                    fits.append((_collapsed(ds, beta2, reml), True, 0))
+                else:
+                    gamma, beta, se, boundary, evals = next(found)
+                    fits.append((_omega_at(stats, beta, (gamma * se, se)),
+                                 bool(boundary), int(evals)))
+            except NermError as exc:
+                fits.append(exc)
+        # the REML rows once more at their theta: log det Delta, the trace
+        at = [c for c, (_, reml) in enumerate(cells)
+              if reml and not isinstance(fits[c], NermError)]
+        if at:
+            p = _solve(rows.take(at), [[fits[c][0].sigma_alpha_sq
+                                        / fits[c][0].sigma_e_sq] for c in at])
+        at = {c: i for i, c in enumerate(at)}
+        for c, ((_, stats, _, _), reml) in enumerate(cells):
+            if isinstance(fits[c], NermError):
+                continue
+            omega, boundary, evals = fits[c]
+            val = log_likelihood(stats, omega)
+            if reml:   # - (1/2) log det Delta, Delta = L L' / sigma_e_sq
+                i = at[c]
+                L = p.L[i, 0]
+                val -= float(np.sum(np.log(np.diag(L)))) \
+                    - 0.5 * L.shape[0] * np.log(omega.sigma_e_sq)
+                estimating = adjusted_score(stats, omega, p.trace[i, 0])
+            else:
+                estimating = score(stats, omega)
+            sn = math.hypot(*estimating)   # no overflow in the squares
+            fits[c] = FitResult(
+                omega_hat=omega, method="reml" if reml else "ml",
+                converged=bool(sn < 1e-8 * (1.0 + abs(val))), iterations=evals,
+                score_norm=sn, boundary_flag=boundary,
+                loglik_at_opt=float(val), g=stats.g, n=stats.n)
+        return [fits[c:c + len(methods)] for c in range(0, len(fits), len(methods))]
+    except SingularDelta as exc:   # an M(gamma) failed to factor by rounding
+        if len(group) == 1:
+            return [[exc] * len(methods)]
+        return [f for d in group for f in _fit_group([d], methods)]
+
+
+def fit_batch(datasets: Sequence[ClusteredDataset],
+              methods: Sequence[str] = ("ml", "reml")) -> list[list]:
+    """Fit every dataset by every method; the datasets that share their
+    cluster sizes are searched together.
+
+    A fit comes out bit for bit as :func:`fit_ml` or :func:`fit_reml` gives
+    it alone, whatever else is in the batch, and a failure fails only the
+    fits of its own dataset.
+
+    Args:
+        datasets: clustered datasets.
+        methods: "ml" and "reml", in the order wanted.
+
+    Returns:
+        One list per dataset holding, per method, its FitResult or the
+        NermError that fit raises.
+
+    Raises:
+        InvalidConfig: a method other than "ml" and "reml".
+    """
+    if not set(methods) <= {"ml", "reml"}:
+        raise InvalidConfig(f"methods must be 'ml' or 'reml', got {list(methods)}")
+    out, groups = [], {}
+    for ds in datasets:
+        try:
+            prepared = _prepare(ds)
+        except NermError as exc:
+            out.append([exc] * len(methods))
+            continue
+        stats = prepared[1]
+        key = (stats.sizes.tobytes(), stats.counts.tobytes(), stats.p_b, stats.p_w)
+        groups.setdefault(key, []).append((len(out), prepared))
+        out.append(None)
+    for group in groups.values():
+        index, prepared = zip(*group)
+        for i, fits in zip(index, _fit_group(list(prepared), methods)):
+            out[i] = fits
+    return out
+
+
+def _fit_one(ds: ClusteredDataset, method: str) -> FitResult:
+    (fit,), = fit_batch([ds], (method,))
+    if isinstance(fit, NermError):
+        raise fit
+    return fit
 
 
 def fit_ml(ds: ClusteredDataset) -> FitResult:
@@ -398,9 +530,9 @@ def fit_ml(ds: ClusteredDataset) -> FitResult:
         DegenerateWithinDesign: within design carries no information
             (every cluster a singleton, or S_w_x rank deficient).
     """
-    return _fit(ds, reml=False)
+    return _fit_one(ds, "ml")
 
 
 def fit_reml(ds: ClusteredDataset) -> FitResult:
     """REML fit; same contract as :func:`fit_ml` with the adjusted objective."""
-    return _fit(ds, reml=True)
+    return _fit_one(ds, "reml")

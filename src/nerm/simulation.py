@@ -16,8 +16,10 @@ A covariate model is any object with ``p_b``, ``p_w`` and ``draw(rng,
 sizes)``, which returns the between (g, p_b) and within (n, p_w) rows.
 
 Reproducibility contract: replicate k draws from the stream seeded by
-(seed, 0, k), so results do not depend on how replicates are scheduled; an
-optional process pool merely reorders the work, never the stream.
+(seed, 0, k), so results do not depend on how replicates are scheduled.
+The replicates are fitted in chunks, each chunk's ML and REML fits as one
+batch (``fit_batch``), whose rows do not depend on each other; an optional
+process pool merely spreads the chunks, never the streams.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     NermError,
     RaggedCovariates,
 )
-from .estimation import fit_ml, fit_reml
+from .estimation import fit_batch
 from .model import (
     ClusteredDataset,
     ParameterVector,
@@ -393,32 +395,48 @@ def generate_dataset(cfg: SimConfig, replicate_index: int = 0) -> ClusteredDatas
 # replication engine
 # ---------------------------------------------------------------------------
 
-def _run_one(cfg: SimConfig, index: int):
-    """One replicate: its row of the summary's arrays (error, boundary,
-    omega_ml, omega_reml, normalized_error, ci_hits, ml_reml_gap) and its
-    cluster-mean errors, which a failed replicate keeps too."""
-    draws = _draw(cfg, index)
-    sizes = cfg.sizes
-    ebar = np.add.reduceat(draws[3], np.cumsum(sizes) - sizes) / sizes
-    true_flat = cfg.true_omega.flatten()
-    try:   # a dataset that cannot be built fails this replicate only
-        ds = _dataset(cfg, *draws)
-        ml = fit_ml(ds)
-        reml = fit_reml(ds)
-        om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()
-        k_half = np.sqrt(normalization(ds.g, ds.n, ds.p_b, ds.p_w))
-        limits = CovariateLimits.from_dataset(ds)
-        moments = estimate_moments(ds, ml)
-        cis = confidence_intervals(ml, limits, moments, cfg.gamma)
-        row = ("", bool(ml.boundary_flag or reml.boundary_flag), om_ml,
-               om_reml, k_half * (om_ml - true_flat),
-               np.array([ci.contains(t) for ci, t in zip(cis, true_flat)]),
-               float(np.linalg.norm(k_half * (om_reml - om_ml))))
-    except NermError as exc:
-        nan = np.full(true_flat.size, np.nan)
-        row = (f"{type(exc).__name__}: {exc}", False, nan, nan, nan,
-               np.zeros(true_flat.size, dtype=bool), math.nan)
-    return row, ebar
+_CHUNK = 64             # most replicates fitted as one batch: the search's arrays
+_CHUNK_VALUES = 2**17   # most y and x_w values (1 MiB) a chunk's datasets hold
+
+
+def _run_chunk(cfg: SimConfig, start: int, stop: int) -> list:
+    """Replicates start, ..., stop - 1, fitted as one batch: per replicate,
+    its row of the summary's arrays (error, boundary, omega_ml, omega_reml,
+    normalized_error, ci_hits, ml_reml_gap) and its cluster-mean errors,
+    which a failed replicate keeps too.  A replicate fails alone, with the
+    first error its dataset, fits or intervals raise."""
+    sizes, true_flat = cfg.sizes, cfg.true_omega.flatten()
+    built, ebars = [], []
+    for k in range(start, stop):   # the draws are dropped once used
+        draws = _draw(cfg, k)
+        ebars.append(np.add.reduceat(draws[3], np.cumsum(sizes) - sizes) / sizes)
+        try:   # a dataset that cannot be built fails this replicate only
+            built.append(_dataset(cfg, *draws))
+        except NermError as exc:
+            built.append(exc)
+    fits = iter(fit_batch([ds for ds in built if not isinstance(ds, NermError)]))
+    out = []
+    for ebar, ds in zip(ebars, built):
+        try:
+            ml, reml = (ds, ds) if isinstance(ds, NermError) else next(fits)
+            for failed in (ml, reml):
+                if isinstance(failed, NermError):
+                    raise failed
+            om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()
+            k_half = np.sqrt(normalization(ds.g, ds.n, ds.p_b, ds.p_w))
+            limits = CovariateLimits.from_dataset(ds)
+            moments = estimate_moments(ds, ml)
+            cis = confidence_intervals(ml, limits, moments, cfg.gamma)
+            row = ("", bool(ml.boundary_flag or reml.boundary_flag), om_ml,
+                   om_reml, k_half * (om_ml - true_flat),
+                   np.array([ci.contains(t) for ci, t in zip(cis, true_flat)]),
+                   float(np.linalg.norm(k_half * (om_reml - om_ml))))
+        except NermError as exc:
+            nan = np.full(true_flat.size, np.nan)
+            row = (f"{type(exc).__name__}: {exc}", False, nan, nan, nan,
+                   np.zeros(true_flat.size, dtype=bool), math.nan)
+        out.append((row, ebar))
+    return out
 
 
 def _diagnose_ebar(ebar_by_size: dict, e_dist, sigma_e_sq: float) -> dict:
@@ -564,7 +582,8 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
         max_workers: largest process pool size, at least 1; the pool never
             exceeds the number of replicates or of CPUs, and results are
             identical for any value because every replicate owns its
-            seed-derived stream.
+            seed-derived stream and its own rows of the batch it is
+            fitted in.
 
     Returns:
         MonteCarloSummary over all replicates.
@@ -575,16 +594,19 @@ def run_replications(cfg: SimConfig, max_workers: int = 1) -> MonteCarloSummary:
     """
     if max_workers < 1:
         raise InvalidConfig(f"max_workers must be >= 1, got {max_workers}")
-    indices = range(cfg.replications)
-    workers = min(max_workers, cfg.replications, os.cpu_count() or 1)
+    reps = cfg.replications
+    workers = min(max_workers, reps, os.cpu_count() or 1)
+    per = cfg.n * (1 + cfg.true_omega.p_w)   # values of one replicate's rows
+    size = max(1, min(_CHUNK, _CHUNK_VALUES // per, -(-reps // workers)))   # a chunk per worker
+    starts = range(0, reps, size)
+    stops = [min(start + size, reps) for start in starts]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [cfg] * cfg.replications,
-                                    indices, chunksize=16))
+            chunks = list(pool.map(_run_chunk, [cfg] * len(starts), starts, stops))
     else:
-        results = [_run_one(cfg, i) for i in indices]
+        chunks = [_run_chunk(cfg, start, stop) for start, stop in zip(starts, stops)]
 
-    rows, ebars = zip(*results)
+    rows, ebars = zip(*(r for chunk in chunks for r in chunk))
     error, boundary, om_ml, om_reml, norm_err, hits, gap = zip(*rows)
     if all(error):
         raise AllReplicatesFailed(

@@ -11,16 +11,23 @@ import math
 import numpy as np
 import pytest
 
-from nerm.errors import DegenerateWithinDesign, SingularDelta
+from nerm.errors import DegenerateWithinDesign, InvalidConfig, SingularDelta
 from nerm.estimation import (
+    _rows,
     _solve,
     adjusted_score,
+    fit_batch,
     fit_ml,
     fit_reml,
     profile_beta,
 )
 from nerm.likelihood import log_likelihood, score
-from nerm.model import ParameterVector, parameter_layout, sufficient_stats
+from nerm.model import (
+    ClusteredDataset,
+    ParameterVector,
+    parameter_layout,
+    sufficient_stats,
+)
 from nerm.simulation import (
     RandomCovariates,
     SimConfig,
@@ -142,13 +149,13 @@ def test_stacked_solve_matches_the_per_cluster_assembly(reml):
     st = sufficient_stats(_uneven_dataset())
     assert list(st.sizes) == [1, 2, 5] and list(st.counts) == [4, 1, 8]
     gammas = np.array([0.0, 1e-8, 0.03, 0.7, 1.0, 12.0, 1e4])
-    got = _solve(st, gammas, reml)
+    got = _solve(_rows([st], [reml]), gammas[None])
     for i, gamma in enumerate(gammas):
         value, slope, beta, se = profiled_per_cluster(st, gamma, reml)
-        assert close(got.value[i], value, 1e-12, floor=0.0)
-        assert close(got.slope[i], slope, 1e-12, floor=0.0)
-        assert close(got.beta[i], beta, 1e-12, floor=0.0)
-        assert close(got.sigma_e_sq[i], se, 1e-12, floor=0.0)
+        assert close(got.value[0, i], value, 1e-12, floor=0.0)
+        assert close(got.slope[0, i], slope, 1e-12, floor=0.0)
+        assert close(got.beta[0, i], beta, 1e-12, floor=0.0)
+        assert close(got.sigma_e_sq[0, i], se, 1e-12, floor=0.0)
 
 
 def test_stacked_solve_rejects_collinear_design_at_gamma_zero():
@@ -156,7 +163,7 @@ def test_stacked_solve_rejects_collinear_design_at_gamma_zero():
     ds = _uneven_dataset(lambda rng: np.array([1.0, 2.0]) * rng.normal())
     st = sufficient_stats(ds)
     with pytest.raises(SingularDelta):
-        _solve(st, 0.0)
+        _solve(_rows([st], [False]), [[0.0]])
     for fit in (fit_ml, fit_reml):
         with pytest.raises(SingularDelta):
             fit(ds)
@@ -165,9 +172,34 @@ def test_stacked_solve_rejects_collinear_design_at_gamma_zero():
     for gamma in (1e-8, 0.5, 1.0, 2.0, 3.0, 10.0, 1e3):
         for reml in (False, True):
             with pytest.raises(SingularDelta):
-                _solve(st, gamma, reml)
+                _solve(_rows([st], [reml]), [[gamma]])
         with pytest.raises(SingularDelta):
             profile_beta(st, (gamma, 1.0))
+
+
+def test_a_design_singular_at_one_gamma_fails_alone_in_its_batch():
+    # the between covariate is the intercept to 5e-8: M(0) factors, so the
+    # design is not collinear, but M(gamma) fails to factor at a scanned gamma
+    def dataset(x_b):
+        return ClusteredDataset(
+            y=[-0.6259065236416427, 0.3331816847010001, -2.4575635902058073,
+               3.1000422989145844, -0.698650730461769, -0.7298350527255578],
+            x_w=[[0.03952289053338441], [-1.3610593983050674],
+                 [0.027994264249169242], [-0.05486311801846381],
+                 [0.8987397888581683], [-0.9147903518132915]],
+            x_b=x_b, offsets=[0, 2, 4, 6], ids=["a", "b", "c"])
+
+    near = dataset([[1.0000000152041297], [0.9999999568168915], [0.9999999747115891]])
+    good = [dataset([[0.3], [1.2], [-0.5]]), dataset([[2.0], [-1.0], [0.4]])]
+    assert not sufficient_stats(near).collinear
+    for fit in (fit_ml, fit_reml):
+        with pytest.raises(SingularDelta):
+            fit(near)
+    first, middle, last = fit_batch([good[0], near, good[1]])
+    assert [type(f) for f in middle] == [SingularDelta, SingularDelta]
+    assert [first, last] == [[fit_ml(ds), fit_reml(ds)] for ds in good]
+    with pytest.raises(InvalidConfig):
+        fit_batch(good, ("ml", "gls"))
 
 
 # ---------------------------------------------------------------------------

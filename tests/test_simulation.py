@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from nerm import simulation
+from nerm import estimation, simulation
 from nerm.errors import (
     AllReplicatesFailed,
     InvalidConfig,
@@ -225,6 +225,54 @@ def test_run_replications_deterministic_and_worker_independent():
         assert np.array_equal(s1.omega_reml, other.omega_reml)
 
 
+def _boundary_config(replications):
+    """nerm simulate --g 10 --m 3 --sigma-alpha-sq 0.05 --seed 3: about half
+    of the fits end on the variance floor."""
+    return _plain_config(g=10, cluster_sizes=3, replications=replications, seed=3,
+                         true_omega=ParameterVector(0.0, [0.5], 0.05, [0.5], 1.0))
+
+
+def test_a_replicate_fits_the_same_in_any_batch():
+    # a replicate's row must not depend on what else its batch holds, so
+    # the results cannot depend on how the replicates are chunked
+    cfg = _boundary_config(40)
+    datasets = [generate_dataset(cfg, k) for k in range(40)]
+    batch = estimation.fit_batch(datasets)
+    first = estimation.fit_batch(datasets[:15])
+    alone = [[estimation.fit_ml(ds), estimation.fit_reml(ds)] for ds in datasets]
+    assert batch[:15] == first and batch == alone   # every field, iterations too
+    assert 0 < sum(f.boundary_flag for row in batch for f in row) < 80
+    assert len({f.iterations for row in batch for f in row}) > 5
+    runs = [run_replications(cfg), run_replications(cfg, max_workers=2),
+            run_replications(_boundary_config(15))]
+    for s in runs:
+        n = s.n_replications
+        for name in ("error", "boundary", "omega_ml", "omega_reml",
+                     "normalized_error", "ci_hits", "ml_reml_gap"):
+            a, b = getattr(runs[0], name)[:n], getattr(s, name)
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        assert np.array_equal(
+            s.omega_ml, [row[0].omega_hat.flatten() for row in batch[:n]])
+        assert np.array_equal(s.boundary, [ml.boundary_flag or reml.boundary_flag
+                                           for ml, reml in batch[:n]])
+
+
+def test_replicates_share_their_normal_equation_solves(monkeypatch):
+    # the fits of a chunk are searched together: far fewer stacked solves
+    # than one per point per fit (about 13 per replicate, unbatched)
+    calls = []
+    solve = estimation._solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(estimation, "_solve", counting)
+    s = run_replications(_boundary_config(15))
+    assert s.n_ok == 15 and s.n_boundary > 0
+    assert len(calls) < 4 * 15
+
+
 def test_pool_is_never_larger_than_the_replicates(monkeypatch):
     sizes = []
 
@@ -324,7 +372,7 @@ def test_ragged_covariate_draw_fails_its_replicate_only():
     cfg = SimConfig(g=4, cluster_sizes=3,
                     true_omega=ParameterVector(0.0, [0.5], 1.0, [0.5], 1.0),
                     covariate_model=_ShortWithinRows(), seed=8, replications=3)
-    row, ebar = simulation._run_one(cfg, 0)
+    (row, ebar), = simulation._run_chunk(cfg, 0, 1)
     assert row[0] == ("RaggedCovariates: covariate model drew x_b (4, 1) and "
                       "x_w (11, 1), expected (4, 1) and (12, 1)")
     # the failed replicate keeps the cluster-mean errors of its stream
@@ -356,14 +404,13 @@ def test_normalized_errors_use_the_scaling_matrix():
 
 
 def test_failed_replicates_are_nan_rows(monkeypatch):
-    real_fit_ml = simulation.fit_ml
+    real_fit_batch = simulation.fit_batch
 
-    def flaky_fit_ml(ds):   # fails a seed-fixed subset of the replicates
-        if ds.y[0] > 0.3:
-            raise SingularDelta("planted")
-        return real_fit_ml(ds)
+    def flaky_fit_batch(datasets):   # fails a seed-fixed subset of the ML fits
+        return [[SingularDelta("planted"), reml] if ds.y[0] > 0.3 else [ml, reml]
+                for ds, (ml, reml) in zip(datasets, real_fit_batch(datasets))]
 
-    monkeypatch.setattr(simulation, "fit_ml", flaky_fit_ml)
+    monkeypatch.setattr(simulation, "fit_batch", flaky_fit_batch)
     s = run_replications(_plain_config())
     failed = s.error != ""
     assert 0 < s.n_failed == failed.sum() < 24 and s.n_ok == 24 - s.n_failed
