@@ -31,14 +31,15 @@ from .model import (
     center_within_covariates,
     parameter_layout,
     sufficient_stats,
+    sufficient_stats_batch,
     tau,
 )
-from .likelihood import log_likelihood, score
+from .likelihood import likelihood_batch
 from .estimation import (
     FitResult,
-    adjusted_score,
     fit_ml,
     fit_reml,
+    objective_batch,
     profile_beta,
 )
 from .asymptotics import (
@@ -47,6 +48,7 @@ from .asymptotics import (
     MomentEstimates,
     confidence_intervals,
     estimate_moments,
+    intervals,
     matrix_C,
     normal_quantile,
     normalization,

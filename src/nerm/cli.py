@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .asymptotics import CovariateLimits, confidence_intervals, estimate_moments
+from .asymptotics import intervals
 from .errors import InvalidConfig, NermError, ParseError
 from .estimation import FitResult, fit_batch
 from .model import (
@@ -400,12 +400,13 @@ def cmd_ci(cfg: RunConfig) -> int:
     ds = _load_input(cfg)
     # fit first: a dataset a fit rejects must fail with the fit's error
     fits = _fits(cfg, ds)
-    limits = CovariateLimits.from_dataset(ds)
     results = {}
     flagged = False
-    for name, fit in fits.items():
-        moments = estimate_moments(ds, fit)
-        cis = confidence_intervals(fit, limits, moments, cfg.gamma)
+    for (name, fit), cis in zip(fits.items(),
+                                intervals([ds] * len(fits), list(fits.values()),
+                                          cfg.gamma)):
+        if isinstance(cis, NermError):
+            raise cis
         results[name] = {
             "fit": _fit_dict(fit),
             "intervals": [asdict(ci) for ci in cis],
@@ -465,9 +466,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Parser whose namespace holds only the flags given; every default
-    lives in :class:`RunConfig`."""
+    lives in :class:`RunConfig`.  Built once per process: each parse
+    starts from a new namespace, so no call sees the flags of another."""
     parser = argparse.ArgumentParser(
         prog="nerm",
         description="Nested error regression: fitting, intervals, simulation.",

@@ -68,20 +68,21 @@ from .errors import (
     NermError,
     SingularDelta,
 )
-from .likelihood import log_likelihood, score
+from .likelihood import likelihood_batch
 from .model import (
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
     parameter_layout,
     sufficient_stats,
+    sufficient_stats_batch,
     tau,
 )
 
 __all__ = [
     "FitResult",
     "profile_beta",
-    "adjusted_score",
+    "objective_batch",
     "fit_batch",
     "fit_ml",
     "fit_reml",
@@ -197,12 +198,6 @@ def _solve(rows: _Rows, gamma) -> _Point:
                   beta, rss / df, L, trace)
 
 
-def _at_theta(stats: SufficientStats, theta, reml: bool = False) -> _Point:
-    """:func:`_solve` at gamma = sigma_alpha_sq / sigma_e_sq, one row."""
-    tau(theta, 1.0)   # NonPositiveVariance unless both are finite and > 0
-    return _solve(_rows([stats], [reml]), [[float(theta[0]) / float(theta[1])]])
-
-
 def profile_beta(stats: SufficientStats, theta):
     """Closed-form coefficient profile at fixed variance components.
 
@@ -218,7 +213,8 @@ def profile_beta(stats: SufficientStats, theta):
         NonPositiveVariance: a variance is not finite and > 0.
         SingularDelta: collinear design.
     """
-    p = _at_theta(stats, theta)
+    tau(theta, 1.0)   # NonPositiveVariance unless both are finite and > 0
+    p = _solve(_rows([stats], [False]), [[float(theta[0]) / float(theta[1])]])
     L = p.L[0, 0]
     return p.beta[0, 0], (L @ L.T) / float(theta[1])
 
@@ -226,34 +222,6 @@ def profile_beta(stats: SufficientStats, theta):
 def _omega_at(stats: SufficientStats, beta: np.ndarray, theta) -> ParameterVector:
     k = 1 + stats.p_b
     return ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
-
-
-def adjusted_score(stats: SufficientStats, omega: ParameterVector,
-                   trace: float | None = None) -> np.ndarray:
-    """REML estimating function: the score with trace-corrected variance entries.
-
-    The coefficient entries coincide with the plain score; the variance
-    entries subtract (1/2) tr{Delta^-1 dDelta/dtheta_k}, with
-    dDelta/dsigma_alpha_sq = -Z' diag(tau^2) Z and dDelta/dsigma_e_sq =
-    -Z' diag(tau^2/m) Z - W/sigma_e_sq^2 (W holds S_w_x in the within
-    corner).  Its root is the REML estimator, and its variance entries
-    evaluated at the profiled coefficients are the gradient of the
-    restricted objective l(beta_hat(theta), theta) - (1/2) log det Delta.
-
-    With tau_i = w_i / sigma_e_sq and w_i^2 / m_i = w_i - gamma w_i^2, the
-    two traces are -T / sigma_e_sq and -(q - gamma T) / sigma_e_sq, where
-    T = tr{M^-1 Z' diag(w^2) Z} is the REML term of the profiled slope.
-    ``trace`` is T at omega's theta when the caller has solved there
-    already; otherwise it is solved for here.
-    """
-    se = omega.sigma_e_sq
-    if trace is None:
-        trace = _at_theta(stats, omega.theta, reml=True).trace[0, 0]
-    out = score(stats, omega)
-    _, _, _, ia, _, ie = parameter_layout(stats.p_b, stats.p_w)
-    out[ia] += 0.5 * trace / se
-    out[ie] += 0.5 * (stats.Z.shape[1] - omega.sigma_alpha_sq / se * trace) / se
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,102 +337,148 @@ class FitResult:
     n: int
 
 
-def _within_beta2(stats: SufficientStats) -> np.ndarray:
-    """Within-cluster estimator S_w_x^-1 S_w_xy; raises when S_w_x is
-    rank deficient.
+def _prepare(stats: Sequence[SufficientStats]) -> list:
+    """What the fits of datasets that share their cluster sizes decide
+    before any search, for all of them at once: per dataset its failure,
+    or (within estimator beta2, whether sigma_e_sq collapses).
 
-    The test does not depend on units: a column counts as constant within
-    clusters when its within sum of squares is below 1e-24 of its raw sum
-    of squares (rounding noise), and the columns as collinear when S_w_x,
-    scaled to unit diagonal, has an eigenvalue below 1e-12.
+    beta2 = S_w_x^-1 S_w_xy needs S_w_x of full rank.  The test does not
+    depend on units: a column counts as constant within clusters when its
+    within sum of squares is below 1e-24 of its raw sum of squares
+    (rounding noise), and the columns as collinear when S_w_x, scaled to
+    unit diagonal, has an eigenvalue below 1e-12.
     """
-    if stats.p_w == 0:
-        return np.zeros(0)
-    S = stats.S_w_x
-    within = np.diag(S)
-    raw = within + stats.m @ stats.xbar_w ** 2   # sum_ij x_w_ij^2
-    d = np.sqrt(within)
-    if np.any(within <= 1e-24 * raw) \
-            or np.linalg.eigvalsh(S / np.outer(d, d))[0] <= 1e-12:
-        raise DegenerateWithinDesign(
-            "a within-cluster covariate has no within-cluster variation "
-            "(S_w_x is rank deficient)"
-        )
-    return np.linalg.solve(S, stats.S_w_xy)
-
-
-def _prepare(ds: ClusteredDataset):
-    """What a fit of ``ds`` decides before any search: raises its failure,
-    or returns (ds, statistics, within estimator beta2, whether sigma_e_sq
-    collapses)."""
-    if ds.g < 2:
-        raise EmptyDataset(f"need at least 2 clusters, got {ds.g}")
-    if ds.n <= ds.g:
-        raise DegenerateWithinDesign(
-            "every cluster is a singleton (n == g); the residual variance "
-            "is not identified"
-        )
-    stats = sufficient_stats(ds)
-    beta2 = _within_beta2(stats)
-    if stats.collinear:
-        raise SingularDelta(_COLLINEAR)
+    S = np.stack([s.S_w_x for s in stats])                  # (B, p_w, p_w)
+    S_w_xy = np.stack([s.S_w_xy for s in stats])
+    S_w_y = np.array([s.S_w_y for s in stats])
+    ybar = np.stack([s.ybar for s in stats])
+    within = np.diagonal(S, axis1=1, axis2=2)
+    raw = within + np.vecmat(np.stack([s.m for s in stats]).astype(float),
+                             np.stack([s.xbar_w for s in stats]) ** 2)
+    degenerate = np.any(within <= 1e-24 * raw, axis=1)
+    eye = np.eye(S.shape[1])
+    if S.shape[1]:
+        d = np.sqrt(np.where(degenerate[:, None], 1.0, within))
+        scaled = np.where(degenerate[:, None, None], eye,
+                          S / (d[:, :, None] * d[:, None, :]))
+        degenerate |= np.linalg.eigvalsh(scaled)[:, 0] <= 1e-12
+    beta2 = np.linalg.solve(np.where(degenerate[:, None, None], eye, S),
+                            S_w_xy[..., None])[..., 0]
     # Q_min is zero to rounding when it cancels against S_w_y, or when the
-    # within deviations themselves are at the rounding level of y
-    q_min = stats.S_w_y - float(stats.S_w_xy @ beta2)
-    return ds, stats, beta2, \
-        q_min <= 1e-12 * stats.S_w_y + 1e-24 * float(ds.y @ ds.y)
+    # within deviations themselves are at the rounding level of y: a
+    # cluster mean of up to m_max values is off by up to about m_max
+    # roundings of its largest one, and n deviations carry that error
+    q_min = S_w_y - np.vecdot(S_w_xy, beta2)
+    n, m_max = stats[0].n, stats[0].sizes[-1]
+    rounding = n * (m_max * np.finfo(float).eps * np.abs(ybar).max(axis=1)) ** 2
+    collapsed = q_min <= 1e-12 * S_w_y + rounding
+    out = []
+    for s, bad, b2, flat in zip(stats, degenerate, beta2, collapsed):
+        if bad:
+            out.append(DegenerateWithinDesign(
+                "a within-cluster covariate has no within-cluster variation "
+                "(S_w_x is rank deficient)"))
+        elif s.collinear:
+            out.append(SingularDelta(_COLLINEAR))
+        else:
+            out.append((b2, bool(flat)))
+    return out
 
 
-def _fit_group(group: list, methods) -> list:
-    """:func:`fit_batch` of datasets that share their cluster sizes, each
-    given as :func:`_prepare` returns it."""
+def _fit_group(datasets: list, stats: list, methods) -> list:
+    """:func:`fit_batch` of datasets that share their cluster sizes, with
+    their statistics."""
+    prepared = _prepare(stats)
+    if all(isinstance(p, NermError) for p in prepared):
+        return [[p] * len(methods) for p in prepared]
     try:
-        cells = [(d, m == "reml") for d in group for m in methods]
-        rows = _rows([d[1] for d, _ in cells], [reml for _, reml in cells])
-        search = [c for c, (d, _) in enumerate(cells) if not d[3]]
+        cells = [(j, m == "reml") for j, p in enumerate(prepared)
+                 if not isinstance(p, NermError) for m in methods]
+        rows = _rows([stats[j] for j, _ in cells], [reml for _, reml in cells])
+        search = [c for c, (j, _) in enumerate(cells) if not prepared[j][1]]
         found = zip(*_maximize(rows.take(search))) if search else iter(())
         fits = []
-        for (ds, stats, beta2, collapsed), reml in cells:
+        for j, reml in cells:
             try:
+                beta2, collapsed = prepared[j]
                 if collapsed:
-                    fits.append((_collapsed(ds, beta2, reml), True, 0))
+                    fits.append((_collapsed(datasets[j], beta2, reml), True, 0))
                 else:
                     gamma, beta, se, boundary, evals = next(found)
-                    fits.append((_omega_at(stats, beta, (gamma * se, se)),
+                    fits.append((_omega_at(stats[j], beta, (gamma * se, se)),
                                  bool(boundary), int(evals)))
             except NermError as exc:
                 fits.append(exc)
-        # the REML rows once more at their theta: log det Delta, the trace
-        at = [c for c, (_, reml) in enumerate(cells)
-              if reml and not isinstance(fits[c], NermError)]
-        if at:
-            p = _solve(rows.take(at), [[fits[c][0].sigma_alpha_sq
-                                        / fits[c][0].sigma_e_sq] for c in at])
-        at = {c: i for i, c in enumerate(at)}
-        for c, ((_, stats, _, _), reml) in enumerate(cells):
-            if isinstance(fits[c], NermError):
-                continue
-            omega, boundary, evals = fits[c]
-            val = log_likelihood(stats, omega)
-            if reml:   # - (1/2) log det Delta, Delta = L L' / sigma_e_sq
-                i = at[c]
-                L = p.L[i, 0]
-                val -= float(np.sum(np.log(np.diag(L)))) \
-                    - 0.5 * L.shape[0] * np.log(omega.sigma_e_sq)
-                estimating = adjusted_score(stats, omega, p.trace[i, 0])
-            else:
-                estimating = score(stats, omega)
-            sn = math.hypot(*estimating)   # no overflow in the squares
-            fits[c] = FitResult(
-                omega_hat=omega, method="reml" if reml else "ml",
-                converged=bool(sn < 1e-8 * (1.0 + abs(val))), iterations=evals,
-                score_norm=sn, boundary_flag=boundary,
-                loglik_at_opt=float(val), g=stats.g, n=stats.n)
-        return [fits[c:c + len(methods)] for c in range(0, len(fits), len(methods))]
+        done = [c for c, f in enumerate(fits) if not isinstance(f, NermError)]
+        if done:
+            for c, fit in zip(done, _finish([stats[cells[c][0]] for c in done],
+                                            [fits[c] for c in done],
+                                            [cells[c][1] for c in done])):
+                fits[c] = fit
+        by_dataset = iter(fits[c:c + len(methods)]
+                          for c in range(0, len(fits), len(methods)))
+        return [[p] * len(methods) if isinstance(p, NermError) else next(by_dataset)
+                for p in prepared]
     except SingularDelta as exc:   # an M(gamma) failed to factor by rounding
-        if len(group) == 1:
+        if len(datasets) == 1:
             return [[exc] * len(methods)]
-        return [f for d in group for f in _fit_group([d], methods)]
+        return [f for ds, st in zip(datasets, stats)
+                for f in _fit_group([ds], [st], methods)]
+
+
+def objective_batch(stats: Sequence[SufficientStats], omegas: np.ndarray,
+                    reml) -> tuple[np.ndarray, np.ndarray]:
+    """The criterion a fit maximizes and its estimating function, for
+    every row at once: the log-likelihood and score for ML, the restricted
+    objective and psi_A for REML.
+
+    The restricted objective subtracts (1/2) log det Delta, Delta = L L' /
+    sigma_e_sq.  psi_A is the score with the variance entries less (1/2)
+    tr{Delta^-1 dDelta/dtheta_k}, with dDelta/dsigma_alpha_sq = -Z'
+    diag(tau^2) Z and dDelta/dsigma_e_sq = -Z' diag(tau^2/m) Z -
+    W/sigma_e_sq^2 (W holds S_w_x in the within corner); its root is the
+    REML estimator, and its variance entries at the profiled coefficients
+    are the gradient of the restricted objective.  With tau_i = w_i /
+    sigma_e_sq and w_i^2 / m_i = w_i - gamma w_i^2, the two traces are -T /
+    sigma_e_sq and -(q - gamma T) / sigma_e_sq, where T = tr{M^-1 Z'
+    diag(w^2) Z} is the REML term of the profiled slope.
+
+    Args:
+        stats: sufficient statistics, one per row, with shared cluster sizes.
+        omegas: (rows, dim) interior parameter vectors in the canonical order.
+        reml: per row, whether it is a REML row.
+
+    Returns:
+        (criterion, psi) of shapes (rows,) and (rows, dim).
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    value, psi = likelihood_batch(stats, omegas)
+    _, _, _, ia, _, ie = parameter_layout(stats[0].p_b, stats[0].p_w)
+    sa, se = omegas[:, ia], omegas[:, ie]
+    at = np.flatnonzero(reml)
+    if at.size:   # solved at their theta: log det Delta, the trace
+        p = _solve(_rows([stats[i] for i in at], [True] * at.size),
+                   (sa[at] / se[at])[:, None])
+        L, trace, q = p.L[:, 0], p.trace[:, 0], p.L.shape[-1]
+        value[at] -= np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1) \
+            - 0.5 * q * np.log(se[at])
+        psi[at, ia] += 0.5 * trace / se[at]
+        psi[at, ie] += 0.5 * (q - sa[at] / se[at] * trace) / se[at]
+    return value, psi
+
+
+def _finish(stats: list, found: list, reml: list) -> list[FitResult]:
+    """The FitResult of every row, from its statistics, its (omega,
+    boundary flag, evaluations) and its method."""
+    omegas = np.stack([omega.flatten() for omega, _, _ in found])
+    value, psi = objective_batch(stats, omegas, reml)
+    norms = [math.hypot(*row) for row in psi.tolist()]   # no overflow in the squares
+    return [FitResult(omega_hat=omega, method="reml" if is_reml else "ml",
+                      converged=bool(sn < 1e-8 * (1.0 + abs(val))),
+                      iterations=evals, score_norm=sn, boundary_flag=boundary,
+                      loglik_at_opt=val, g=st.g, n=st.n)
+            for (omega, boundary, evals), st, val, sn, is_reml
+            in zip(found, stats, value.tolist(), norms, reml)]
 
 
 def fit_batch(datasets: Sequence[ClusteredDataset],
@@ -489,20 +503,25 @@ def fit_batch(datasets: Sequence[ClusteredDataset],
     """
     if not set(methods) <= {"ml", "reml"}:
         raise InvalidConfig(f"methods must be 'ml' or 'reml', got {list(methods)}")
-    out, groups = [], {}
+    out, ok = [], []
     for ds in datasets:
-        try:
-            prepared = _prepare(ds)
-        except NermError as exc:
-            out.append([exc] * len(methods))
-            continue
-        stats = prepared[1]
-        key = (stats.sizes.tobytes(), stats.counts.tobytes(), stats.p_b, stats.p_w)
-        groups.setdefault(key, []).append((len(out), prepared))
-        out.append(None)
+        if ds.g < 2:
+            out.append([EmptyDataset(f"need at least 2 clusters, got {ds.g}")] * len(methods))
+        elif ds.n <= ds.g:
+            out.append([DegenerateWithinDesign(
+                "every cluster is a singleton (n == g); the residual variance "
+                "is not identified")] * len(methods))
+        else:
+            ok.append(len(out))
+            out.append(None)
+    groups = {}
+    for i, st in zip(ok, sufficient_stats_batch([datasets[i] for i in ok])):
+        key = (st.sizes.tobytes(), st.counts.tobytes(), st.p_b, st.p_w)
+        groups.setdefault(key, []).append((i, st))
     for group in groups.values():
-        index, prepared = zip(*group)
-        for i, fits in zip(index, _fit_group(list(prepared), methods)):
+        index, stats = zip(*group)
+        for i, fits in zip(index, _fit_group([datasets[i] for i in index],
+                                             list(stats), methods)):
             out[i] = fits
     return out
 

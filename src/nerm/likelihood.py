@@ -24,63 +24,57 @@ of tau_i in (sigma_alpha_sq, sigma_e_sq) is -tau_i^2 d_i.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .model import ParameterVector, SufficientStats, parameter_layout, tau
+from .model import SufficientStats, parameter_layout
 
 __all__ = [
-    "log_likelihood",
-    "score",
+    "likelihood_batch",
 ]
 
 
-def _canonical(stats: SufficientStats) -> np.ndarray:
-    """Canonical positions of (beta, sigma_alpha_sq, sigma_e_sq)."""
-    dim, i0, i1, ia, i2, ie = parameter_layout(stats.p_b, stats.p_w)
-    pos = np.arange(dim)
-    return np.r_[i0, pos[i1], pos[i2], ia, ie]
-
-
-def _Q(stats: SufficientStats, beta2: np.ndarray) -> float:
-    return float(stats.S_w_y - 2.0 * (stats.S_w_xy @ beta2)
-                 + beta2 @ stats.S_w_x @ beta2)
-
-
-def log_likelihood(stats: SufficientStats, omega: ParameterVector) -> float:
-    """Gaussian log-likelihood up to an additive constant.
+def likelihood_batch(stats: Sequence[SufficientStats],
+                     omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-likelihood and score of every row at once.
 
     Args:
-        stats: sufficient statistics of the dataset.
-        omega: interior parameter vector.
+        stats: sufficient statistics, one per row, all with the same number
+            of clusters and covariates.
+        omegas: (rows, dim) interior parameter vectors, flat in the
+            canonical order.
 
     Returns:
-        l(omega) as defined in the module docstring.
+        (l, psi): l(omega) up to an additive constant, shape (rows,), and
+        its gradient psi(omega), shape (rows, dim) in the canonical order,
+        each row computed from its own statistics alone.
     """
-    t = tau(omega.theta, stats.m)
-    r = stats.ybar - stats.Z @ omega.beta
-    se = omega.sigma_e_sq
-    return float(
-        0.5 * np.sum(np.log(t))
-        - 0.5 * (stats.n - stats.g) * np.log(se)
-        - _Q(stats, omega.beta2) / (2.0 * se)
-        - 0.5 * np.sum(t * r * r)
-    )
-
-
-def score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
-    """Gradient of the log-likelihood (the estimating function psi), as a
-    flat array in the canonical order."""
-    m = stats.m.astype(float)
-    t = tau(omega.theta, m)
-    d = np.stack((np.ones_like(m), 1.0 / m))   # the rows d_i, as (2, g)
-    tr = t * (stats.ybar - stats.Z @ omega.beta)
-    se = omega.sigma_e_sq
-    l_beta = stats.Z.T @ tr
-    l_beta[1 + stats.p_b:] += (stats.S_w_xy - stats.S_w_x @ omega.beta2) / se
-    l_theta = 0.5 * d @ (tr * tr - t)
+    first = stats[0]
+    dim, i0, i1, ia, i2, ie = parameter_layout(first.p_b, first.p_w)
+    pos = np.arange(dim)
+    canonical = np.r_[i0, pos[i1], pos[i2], ia, ie]   # of (beta, theta)
+    omegas = np.asarray(omegas, dtype=float)
+    beta, beta2 = omegas[:, canonical[:-2]], omegas[:, i2]
+    sa, se = omegas[:, ia, None], omegas[:, ie]
+    m = np.stack([s.m for s in stats]).astype(float)
+    Z = np.stack([s.Z for s in stats])
+    S_w_xy = np.stack([s.S_w_xy for s in stats])
+    S_w_x = np.stack([s.S_w_x for s in stats])
+    within = np.array([s.n - s.g for s in stats])
+    t = m / (se[:, None] + m * sa)                         # tau_i
+    r = np.stack([s.ybar for s in stats]) - np.matvec(Z, beta)
+    Q = np.array([s.S_w_y for s in stats]) - 2.0 * np.vecdot(S_w_xy, beta2) \
+        + np.vecdot(np.vecmat(beta2, S_w_x), beta2)
+    value = 0.5 * np.sum(np.log(t), axis=1) - 0.5 * within * np.log(se) \
+        - Q / (2.0 * se) - 0.5 * np.sum(t * r * r, axis=1)
+    tr = t * r
+    l_beta = np.vecmat(tr, Z)
+    l_beta[:, 1 + first.p_b:] += (S_w_xy - np.matvec(S_w_x, beta2)) / se[:, None]
+    d = np.stack((np.ones_like(m), 1.0 / m), axis=1)       # the rows d_i, (B, 2, g)
+    l_theta = np.matvec(0.5 * d, tr * tr - t)
     # two divisions: se * se underflows to 0 for se below about 1e-162
-    l_theta[1] += _Q(stats, omega.beta2) / se / (2.0 * se) \
-        - 0.5 * (stats.n - stats.g) / se
-    out = np.empty(l_beta.size + 2)
-    out[_canonical(stats)] = np.concatenate((l_beta, l_theta))
-    return out
+    l_theta[:, 1] += Q / se / (2.0 * se) - 0.5 * within / se
+    psi = np.empty_like(omegas)
+    psi[:, canonical] = np.concatenate((l_beta, l_theta), axis=1)
+    return value, psi

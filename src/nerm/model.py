@@ -224,25 +224,7 @@ class ClusteredDataset:
     @cached_property
     def _stats(self) -> SufficientStats:
         """See :func:`sufficient_stats`."""
-        m = self.cluster_sizes
-        ybar = _cluster_means(self, self.y)
-        xbar_w = _cluster_means(self, self.x_w)
-        dy = self.y - np.repeat(ybar, m)
-        dx = self.x_w - np.repeat(xbar_w, m, axis=0)
-        Z = np.hstack([np.ones((self.g, 1)), self.x_b, xbar_w])
-        sizes, counts = np.unique(m, return_counts=True)
-        rows = np.column_stack((Z, ybar))[np.argsort(m, kind="stable")]
-        G = np.empty((sizes.size,) + (rows.shape[1],) * 2)
-        R = np.zeros_like(G)
-        for k, block in enumerate(np.split(rows, np.cumsum(counts)[:-1])):
-            G[k] = block.T @ block
-            r = np.linalg.qr(block, mode="r")
-            R[k, :r.shape[0]] = r   # fewer clusters than columns: zero rows
-        return SufficientStats(
-            m=m, ybar=ybar, xbar_w=xbar_w, Z=Z,
-            S_w_y=float(dy @ dy), S_w_xy=dx.T @ dy, S_w_x=dx.T @ dx,
-            sizes=sizes, counts=counts, G=G, R=R, n=self.n, g=self.g,
-        )
+        return _stack_stats([self])[0]
 
 
 def _cluster_means(ds: ClusteredDataset, a: np.ndarray) -> np.ndarray:
@@ -302,6 +284,12 @@ class SufficientStats:
     its triangular QR factor, padded with zero rows when there are fewer
     clusters than columns: ||R[k] (-beta; 1)||^2 is their residual sum of
     squares, without the cancellation of expanding A_k' A_k.
+
+    ``collinear`` says whether the profiled normal equations of the fits
+    are singular.  Their matrix M(gamma) = sum_k w_k Z_k' Z_k + W (W holds
+    S_w_x in the within corner, w_k = m_k / (1 + m_k gamma)) has the same
+    null space at every gamma >= 0, so whether it factors is decided once,
+    at gamma = 0, and the answer holds at every gamma.
     """
 
     m: np.ndarray          # (g,) cluster sizes
@@ -317,6 +305,7 @@ class SufficientStats:
     R: np.ndarray          # (K, q + 1, q + 1)
     n: int
     g: int
+    collinear: bool        # the profiled normal equations are singular
 
     def __post_init__(self) -> None:
         for name in ("m", "ybar", "xbar_w", "Z", "S_w_xy", "S_w_x",
@@ -327,6 +316,7 @@ class SufficientStats:
         object.__setattr__(self, "S_w_y", float(self.S_w_y))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "collinear", bool(self.collinear))
 
     @property
     def p_b(self) -> int:
@@ -335,25 +325,6 @@ class SufficientStats:
     @property
     def p_w(self) -> int:
         return self.xbar_w.shape[1]
-
-    @cached_property
-    def collinear(self) -> bool:
-        """Whether the profiled normal equations of the fits are singular.
-
-        Their matrix M(gamma) = sum_k w_k Z_k' Z_k + W (W holds S_w_x in
-        the within corner, w_k = m_k / (1 + m_k gamma)) has the same null
-        space at every gamma >= 0, so whether it factors is decided once,
-        at gamma = 0, and the answer holds at every gamma.
-        """
-        q, k = self.Z.shape[1], 1 + self.p_b
-        M = (self.sizes @ self.G.reshape(self.sizes.size, -1)).reshape(
-            q + 1, q + 1)[:q, :q]
-        M[k:, k:] += self.S_w_x
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            return True
-        return False
 
 
 def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:
@@ -366,6 +337,71 @@ def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:
     on cluster ordering.
     """
     return ds._stats
+
+
+def sufficient_stats_batch(datasets) -> list[SufficientStats]:
+    """:func:`sufficient_stats` of every dataset; the datasets that share
+    their cluster layout (offsets, p_b and p_w) are reduced in one stacked
+    pass, and each dataset caches its own statistics as if computed alone."""
+    todo = {}
+    for ds in datasets:
+        if "_stats" not in ds.__dict__:   # the cache of ``_stats``
+            todo.setdefault((ds.offsets.tobytes(), ds.p_b, ds.p_w), []).append(ds)
+    for group in todo.values():
+        for ds, st in zip(group, _stack_stats(group)):
+            ds.__dict__["_stats"] = st
+    return [sufficient_stats(ds) for ds in datasets]
+
+
+def _stack_stats(datasets) -> list[SufficientStats]:
+    """The statistics of datasets that share their cluster layout, from
+    arrays with one leading row per dataset.  Every operation acts on each
+    row alone (elementwise, reductions along a row, stacked BLAS and LAPACK
+    calls), so a dataset's statistics do not depend on the others."""
+    first = datasets[0]
+    m, starts, g = first.cluster_sizes, first.offsets[:-1], first.g
+    nrow = len(datasets)
+    dy = np.stack([ds.y for ds in datasets])                      # (B, n)
+    dx = np.stack([ds.x_w for ds in datasets])                    # (B, n, p_w)
+    ybar = np.add.reduceat(dy, starts, axis=1) / m
+    xbar_w = np.add.reduceat(dx, starts, axis=1) / m[:, None]
+    dy -= np.repeat(ybar, m, axis=1)       # the within deviations, in place
+    dx -= np.repeat(xbar_w, m, axis=1)
+    Z = np.concatenate([np.ones((nrow, g, 1)),
+                        np.stack([ds.x_b for ds in datasets]), xbar_w], axis=2)
+    sizes, counts = np.unique(m, return_counts=True)
+    rows = np.concatenate((Z, ybar[..., None]), axis=2)[:, np.argsort(m, kind="stable")]
+    q = Z.shape[2]
+    G = np.empty((nrow, sizes.size, q + 1, q + 1))
+    R = np.zeros_like(G)
+    for k, block in enumerate(np.split(rows, np.cumsum(counts)[:-1], axis=1)):
+        G[:, k] = np.swapaxes(block, 1, 2) @ block
+        r = np.linalg.qr(block, mode="r")
+        R[:, k, :r.shape[1]] = r   # fewer clusters than columns: zero rows
+    S_w_x = np.swapaxes(dx, 1, 2) @ dx
+    S_w_xy = np.vecmat(dy, dx)
+    S_w_y = np.vecdot(dy, dy)
+    # M(0) = sum_k m_k Z_k' Z_k + W: see ``SufficientStats.collinear``
+    k = q - S_w_x.shape[2]
+    M = (sizes @ G.reshape(nrow, sizes.size, -1)).reshape(nrow, q + 1, q + 1)[:, :q, :q]
+    M[:, k:, k:] += S_w_x
+    collinear = np.zeros(nrow, dtype=bool)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:   # find the rows that do not factor
+        collinear = np.array([not _factors(a) for a in M])
+    return [SufficientStats(
+        m=m, ybar=ybar[i], xbar_w=xbar_w[i], Z=Z[i], S_w_y=S_w_y[i],
+        S_w_xy=S_w_xy[i], S_w_x=S_w_x[i], sizes=sizes, counts=counts, G=G[i],
+        R=R[i], n=first.n, g=g, collinear=collinear[i]) for i in range(nrow)]
+
+
+def _factors(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def tau(theta: tuple[float, float], m_i) -> np.ndarray | float:

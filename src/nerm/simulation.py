@@ -17,9 +17,11 @@ sizes)``, which returns the between (g, p_b) and within (n, p_w) rows.
 
 Reproducibility contract: replicate k draws from the stream seeded by
 (seed, 0, k), so results do not depend on how replicates are scheduled.
-The replicates are fitted in chunks, each chunk's ML and REML fits as one
-batch (``fit_batch``), whose rows do not depend on each other; an optional
-process pool merely spreads the chunks, never the streams.
+The replicates are analysed in chunks: a chunk's statistics, ML and REML
+fits (``fit_batch``) and ML intervals (``intervals``) are each computed
+for the whole chunk at once, and no replicate's numbers depend on the
+others; an optional process pool merely spreads the chunks, never the
+streams.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .asymptotics import (
-    CovariateLimits,
-    confidence_intervals,
-    estimate_moments,
-    normalization,
-)
+from .asymptotics import intervals, normalization
 from .errors import (
     AllReplicatesFailed,
     InvalidConfig,
@@ -400,11 +397,12 @@ _CHUNK_VALUES = 2**17   # most y and x_w values (1 MiB) a chunk's datasets hold
 
 
 def _run_chunk(cfg: SimConfig, start: int, stop: int) -> list:
-    """Replicates start, ..., stop - 1, fitted as one batch: per replicate,
-    its row of the summary's arrays (error, boundary, omega_ml, omega_reml,
-    normalized_error, ci_hits, ml_reml_gap) and its cluster-mean errors,
-    which a failed replicate keeps too.  A replicate fails alone, with the
-    first error its dataset, fits or intervals raise."""
+    """Replicates start, ..., stop - 1, fitted as one batch and their ML
+    intervals formed as one batch: per replicate, its row of the summary's
+    arrays (error, boundary, omega_ml, omega_reml, normalized_error,
+    ci_hits, ml_reml_gap) and its cluster-mean errors, which a failed
+    replicate keeps too.  A replicate fails alone, with the first error its
+    dataset, fits or intervals raise."""
     sizes, true_flat = cfg.sizes, cfg.true_omega.flatten()
     built, ebars = [], []
     for k in range(start, stop):   # the draws are dropped once used
@@ -415,26 +413,29 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> list:
         except NermError as exc:
             built.append(exc)
     fits = iter(fit_batch([ds for ds in built if not isinstance(ds, NermError)]))
+    done = []   # per replicate: its error, or (dataset, ML fit, REML fit)
+    for ds in built:
+        fit = (ds, ds) if isinstance(ds, NermError) else next(fits)
+        failed = [f for f in fit if isinstance(f, NermError)]
+        done.append(failed[0] if failed else (ds, *fit))
+    ok = [d for d in done if not isinstance(d, NermError)]
+    cis = iter(intervals([ds for ds, _, _ in ok], [ml for _, ml, _ in ok],
+                         cfg.gamma) if ok else ())
     out = []
-    for ebar, ds in zip(ebars, built):
-        try:
-            ml, reml = (ds, ds) if isinstance(ds, NermError) else next(fits)
-            for failed in (ml, reml):
-                if isinstance(failed, NermError):
-                    raise failed
+    for ebar, d in zip(ebars, done):
+        ci = d if isinstance(d, NermError) else next(cis)
+        if isinstance(ci, NermError):
+            nan = np.full(true_flat.size, np.nan)
+            row = (f"{type(ci).__name__}: {ci}", False, nan, nan, nan,
+                   np.zeros(true_flat.size, dtype=bool), math.nan)
+        else:
+            ds, ml, reml = d
             om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()
             k_half = np.sqrt(normalization(ds.g, ds.n, ds.p_b, ds.p_w))
-            limits = CovariateLimits.from_dataset(ds)
-            moments = estimate_moments(ds, ml)
-            cis = confidence_intervals(ml, limits, moments, cfg.gamma)
             row = ("", bool(ml.boundary_flag or reml.boundary_flag), om_ml,
                    om_reml, k_half * (om_ml - true_flat),
-                   np.array([ci.contains(t) for ci, t in zip(cis, true_flat)]),
+                   np.array([c.contains(t) for c, t in zip(ci, true_flat)]),
                    float(np.linalg.norm(k_half * (om_reml - om_ml))))
-        except NermError as exc:
-            nan = np.full(true_flat.size, np.nan)
-            row = (f"{type(exc).__name__}: {exc}", False, nan, nan, nan,
-                   np.zeros(true_flat.size, dtype=bool), math.nan)
         out.append((row, ebar))
     return out
 

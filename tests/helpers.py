@@ -15,9 +15,13 @@ only uses in closed form: the limit matrices A and B (whose sandwich
 B^-1 A B^-1 the library's ``matrix_C`` must equal), the score derivative
 and its expectation, the finite-design B_n, the REML criterion and the
 cluster-mean moment diagnostics.  These build on the library's public
-layout, ``tau``, ``profile_beta`` and ``log_likelihood``, never on its
+layout, ``tau``, ``profile_beta`` and ``likelihood_batch``, never on its
 private helpers; the tests check them against finite differences, Monte
 Carlo averages and each other.
+
+The library's likelihood, moments, limits and intervals take a stack of
+rows, one per dataset or fit.  Their one-dataset views, which only the
+tests call, are at the end of this module.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from nerm.asymptotics import CovariateLimits, MomentEstimates, normalization
+from nerm.asymptotics import confidence_intervals as intervals_batch
+from nerm.asymptotics import estimate_moments as moments_batch
 from nerm.errors import RaggedCovariates
-from nerm.estimation import profile_beta
-from nerm.likelihood import log_likelihood
+from nerm.estimation import objective_batch, profile_beta
+from nerm.likelihood import likelihood_batch
 from nerm.model import (
     ClusteredDataset,
     ParameterVector,
@@ -556,3 +562,47 @@ def close(a, b, rtol, floor=1.0):
     """True when |a-b| <= rtol * max(floor, |b|) elementwise."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.all(np.abs(a - b) <= rtol * np.maximum(floor, np.abs(b)))
+
+
+# ---------------------------------------------------------------------------
+# one-dataset views of the library's stacked functions
+# ---------------------------------------------------------------------------
+
+def log_likelihood(stats: SufficientStats, omega: ParameterVector) -> float:
+    """The library's log-likelihood of one dataset: the one-row case of
+    ``likelihood_batch``."""
+    return float(likelihood_batch([stats], omega.flatten()[None])[0][0])
+
+
+def score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
+    """The library's score of one dataset, in the canonical order."""
+    return likelihood_batch([stats], omega.flatten()[None])[1][0]
+
+
+def adjusted_score(stats: SufficientStats, omega: ParameterVector) -> np.ndarray:
+    """The library's REML estimating function psi_A of one dataset."""
+    return objective_batch([stats], omega.flatten()[None], [True])[1][0]
+
+
+def limits_from_dataset(ds: ClusteredDataset) -> CovariateLimits:
+    """The finite-sample covariate limits of one dataset."""
+    lim = CovariateLimits.from_datasets([ds])
+    return CovariateLimits(c1=lim.c1[0], C2=lim.C2[0], C3=lim.C3[0])
+
+
+def estimate_moments(ds: ClusteredDataset, fit) -> MomentEstimates:
+    """The plug-in moments of one (dataset, fit) pair."""
+    mom = moments_batch([ds], [fit])
+    return MomentEstimates(mom.mu3_alpha[0], mom.mu4_alpha[0], mom.mu4_e[0],
+                           mom.unit[0])
+
+
+def confidence_intervals(fit, limits: CovariateLimits, moments: MomentEstimates,
+                         gamma: float):
+    """The intervals of one fit from its limits and moments: the one-row
+    case of the library's ``confidence_intervals``."""
+    stack = CovariateLimits(c1=limits.c1[None], C2=limits.C2[None],
+                            C3=limits.C3[None])
+    moments = MomentEstimates(*(np.array([getattr(moments, f)]) for f in
+                                ("mu3_alpha", "mu4_alpha", "mu4_e", "unit")))
+    return intervals_batch([fit], stack, moments, gamma)[0]

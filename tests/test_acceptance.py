@@ -22,7 +22,6 @@ import pytest
 
 from nerm.asymptotics import CovariateLimits, MomentEstimates, matrix_C
 from nerm.estimation import fit_ml, fit_reml, profile_beta
-from nerm.likelihood import log_likelihood, score
 from nerm.model import ParameterVector, sufficient_stats
 from nerm.simulation import (
     RandomCovariates,
@@ -38,6 +37,7 @@ from .helpers import (
     fd_gradient,
     fd_jacobian,
     from_flat,
+    log_likelihood,
     make_dataset,
     matrix_A,
     matrix_B,
@@ -47,6 +47,7 @@ from .helpers import (
     random_dataset,
     random_omega,
     reml_criterion,
+    score,
     score_jacobian,
 )
 

@@ -50,8 +50,8 @@ def test_no_public_signature_takes_both_dataset_and_statistics():
         seen.add(qualname)
         if {"ds", "stats"} <= set(inspect.signature(fn).parameters):
             offenders.append(qualname)
-    assert "nerm.asymptotics.CovariateLimits.from_dataset" in seen
-    assert "nerm.likelihood.log_likelihood" in seen
+    assert "nerm.asymptotics.CovariateLimits.from_datasets" in seen
+    assert "nerm.likelihood.likelihood_batch" in seen
     assert offenders == []
 
 

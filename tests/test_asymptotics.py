@@ -16,8 +16,6 @@ from nerm.asymptotics import (
     ConfidenceInterval,
     CovariateLimits,
     MomentEstimates,
-    confidence_intervals,
-    estimate_moments,
     matrix_C,
     normal_quantile,
     normalization,
@@ -37,7 +35,10 @@ from nerm.model import (
 )
 
 from .helpers import (
+    confidence_intervals,
+    estimate_moments,
     expected_score_jacobian,
+    limits_from_dataset,
     make_dataset,
     matrix_A,
     matrix_B,
@@ -180,7 +181,7 @@ def test_limits_from_dataset_matches_definitions():
     rng = np.random.default_rng(43)
     ds, _ = random_dataset(rng, g=6, m_max=5, p_b=2, p_w=1, m_min=2)
     st = sufficient_stats(ds)
-    lim = CovariateLimits.from_dataset(ds)
+    lim = limits_from_dataset(ds)
     Xb = ds.x_b
     assert np.allclose(lim.c1, Xb.mean(axis=0))
     assert np.allclose(lim.C2, Xb.T @ Xb / ds.g)

@@ -326,6 +326,30 @@ def test_run_config_validation():
         RunConfig(command="fit", contextual=True, center=False)
 
 
+def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    # main reuses one parser; a call sees its own flags and the defaults,
+    # never a flag an earlier call gave
+    assert _build_parser() is _build_parser()
+    seen = []
+    for name in ("cmd_fit", "cmd_ci", "cmd_simulate"):
+        monkeypatch.setattr(f"nerm.cli.{name}", lambda cfg: seen.append(cfg) or 0)
+    calls = [["simulate", "--seed", "5", "--reps", "3", "--workers", "2",
+              "--gamma", "0.1", "--e-dist", "t(7)", "--p-w", "0"],
+             ["fit", "--input", "a.csv", "--method", "ml", "--center"],
+             ["simulate"],
+             ["ci", "--input", "b.csv"],
+             ["fit", "--input", "a.csv"]]
+    for argv in calls:
+        assert main(argv) == 0
+    assert seen == [
+        RunConfig(command="simulate", seed=5, reps=3, workers=2, gamma=0.1,
+                  e_dist="t(7)", p_w=0),
+        RunConfig(command="fit", input="a.csv", method="ml", center=True),
+        RunConfig(command="simulate"),
+        RunConfig(command="ci", input="b.csv"),
+        RunConfig(command="fit", input="a.csv")]
+
+
 # ---------------------------------------------------------------------------
 # fit and ci
 # ---------------------------------------------------------------------------
@@ -485,6 +509,28 @@ def test_tiny_response_units_end_without_a_traceback(tmp_path, capsys,
         assert main([command, "--input", path, "--method", method]) \
             == (EXIT_FLAGGED if flagged else EXIT_OK)
         assert capsys.readouterr().err == ""
+
+
+def test_a_shifted_response_fits_off_the_floor(tmp_path, capsys):
+    # y + 1e12: the within deviations are still resolved to about 1e-4, so
+    # sigma_e_sq must not be read as collapsed; the fit matches the
+    # unshifted one within the resolution the shift leaves
+    cfg = _sim_config(_run_config(_build_parser().parse_args(
+        ["simulate", "--g", "60", "--m", "8", "--seed", "1"])))
+    ds = generate_dataset(cfg, 0)
+    reports = []
+    for shift in (0.0, 1e12):
+        path = str(tmp_path / f"shifted-{shift}.csv")
+        write_dataset_csv(ClusteredDataset(y=ds.y + shift, x_w=ds.x_w, x_b=ds.x_b,
+                                           offsets=ds.offsets, ids=ds.ids), path)
+        main(["fit", "--input", path])
+        reports.append(json.loads(capsys.readouterr().out)["fits"])
+    for method in ("ml", "reml"):
+        plain, shifted = (r[method] for r in reports)
+        assert shifted["boundary_flag"] is False
+        for name in ("sigma_alpha_sq", "sigma_e_sq"):
+            assert shifted["estimates"][name] == pytest.approx(
+                plain["estimates"][name], rel=1e-3)
 
 
 def _strict_json(path):

@@ -10,7 +10,6 @@ covariates.
 import numpy as np
 import pytest
 
-from nerm.asymptotics import estimate_moments
 from nerm.cli import read_dataset_csv
 from nerm.errors import NonFiniteValue
 from nerm.estimation import FitResult
@@ -19,6 +18,7 @@ from nerm.model import center_within_covariates, sufficient_stats
 from .helpers import (
     close,
     clusters,
+    estimate_moments,
     make_dataset,
     naive_center,
     naive_first_nonfinite,

@@ -15,13 +15,11 @@ from nerm.errors import DegenerateWithinDesign, InvalidConfig, SingularDelta
 from nerm.estimation import (
     _rows,
     _solve,
-    adjusted_score,
     fit_batch,
     fit_ml,
     fit_reml,
     profile_beta,
 )
-from nerm.likelihood import log_likelihood, score
 from nerm.model import (
     ClusteredDataset,
     ParameterVector,
@@ -37,10 +35,12 @@ from nerm.simulation import (
 
 from .helpers import (
     Cluster,
+    adjusted_score,
     best_feasible_gain,
     close,
     clusters,
     fd_gradient,
+    log_likelihood,
     make_dataset,
     pack,
     profiled_objective,
@@ -48,6 +48,7 @@ from .helpers import (
     random_dataset,
     random_omega,
     reml_criterion,
+    score,
     score_jacobian,
 )
 

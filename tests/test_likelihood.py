@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from nerm.likelihood import log_likelihood, score
 from nerm.model import ParameterVector, sufficient_stats
 
 from .helpers import (
@@ -25,10 +24,12 @@ from .helpers import (
     fd_gradient,
     fd_jacobian,
     from_flat,
+    log_likelihood,
     make_dataset,
     pack,
     random_dataset,
     random_omega,
+    score,
     score_jacobian,
     score_jacobian_rows,
 )

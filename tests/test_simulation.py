@@ -5,6 +5,7 @@ from (seed, replicate index), so the same configuration must reproduce bit
 for bit, with any worker count.
 """
 
+import dataclasses
 import json
 import zlib
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from nerm import estimation, simulation
+from nerm.asymptotics import intervals, normalization
+from nerm.cli import main, write_dataset_csv
 from nerm.errors import (
     AllReplicatesFailed,
     InvalidConfig,
@@ -232,9 +235,11 @@ def _boundary_config(replications):
                          true_omega=ParameterVector(0.0, [0.5], 0.05, [0.5], 1.0))
 
 
-def test_a_replicate_fits_the_same_in_any_batch():
-    # a replicate's row must not depend on what else its batch holds, so
-    # the results cannot depend on how the replicates are chunked
+def test_a_replicate_fits_the_same_in_any_batch(tmp_path, capsys):
+    # a replicate's analysis must not depend on what else its batch holds,
+    # so the results cannot depend on how the replicates are chunked: its
+    # fits, intervals, hits and gap are the same alone, in its chunk and
+    # at --workers 2, and nerm ci gives the same endpoints for its dataset
     cfg = _boundary_config(40)
     datasets = [generate_dataset(cfg, k) for k in range(40)]
     batch = estimation.fit_batch(datasets)
@@ -243,6 +248,10 @@ def test_a_replicate_fits_the_same_in_any_batch():
     assert batch[:15] == first and batch == alone   # every field, iterations too
     assert 0 < sum(f.boundary_flag for row in batch for f in row) < 80
     assert len({f.iterations for row in batch for f in row}) > 5
+    mls = [ml for ml, _ in batch]
+    chunk = intervals(datasets, mls, cfg.gamma)
+    assert chunk == [intervals([ds], [ml], cfg.gamma)[0]
+                     for ds, ml in zip(datasets, mls)]
     runs = [run_replications(cfg), run_replications(cfg, max_workers=2),
             run_replications(_boundary_config(15))]
     for s in runs:
@@ -255,6 +264,22 @@ def test_a_replicate_fits_the_same_in_any_batch():
             s.omega_ml, [row[0].omega_hat.flatten() for row in batch[:n]])
         assert np.array_equal(s.boundary, [ml.boundary_flag or reml.boundary_flag
                                            for ml, reml in batch[:n]])
+        truth = cfg.true_omega.flatten()
+        assert np.array_equal(s.ci_hits, [[ci.contains(t) for ci, t in zip(cis, truth)]
+                                          for cis in chunk[:n]])
+        k_half = np.sqrt(normalization(cfg.g, cfg.n, 1, 1))
+        assert np.array_equal(s.ml_reml_gap, [
+            np.linalg.norm(k_half * (reml.omega_hat.flatten() - ml.omega_hat.flatten()))
+            for ml, reml in batch[:n]])
+    # the nerm ci path is the one-row case: the same endpoints, bit for bit
+    for k in (0, 1, 7):
+        path = str(tmp_path / f"rep{k}.csv")
+        write_dataset_csv(datasets[k], path)
+        main(["ci", "--input", path, "--method", "ml"])
+        report = json.loads(capsys.readouterr().out)["results"]["ml"]
+        assert report["fit"]["omega"] == mls[k].omega_hat.flatten().tolist()
+        assert [(iv["lower"], iv["upper"]) for iv in report["intervals"]] == [
+            (ci.lower, None if ci.upper == np.inf else ci.upper) for ci in chunk[k]]
 
 
 def test_replicates_share_their_normal_equation_solves(monkeypatch):
@@ -271,6 +296,38 @@ def test_replicates_share_their_normal_equation_solves(monkeypatch):
     s = run_replications(_boundary_config(15))
     assert s.n_ok == 15 and s.n_boundary > 0
     assert len(calls) < 4 * 15
+
+
+def test_a_chunk_shares_its_factorizations(monkeypatch):
+    # the statistics, the within rank test, the covariate limits and the
+    # collinearity check of a chunk are stacked calls: a fixed number of
+    # eigvalsh and QR calls per chunk, and one Cholesky call besides those
+    # of the normal-equation solves (per replicate, unbatched: 3 eigvalsh,
+    # 1 QR and 1 Cholesky)
+    counts = {}
+    solves = []
+    solve = estimation._solve
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(estimation, "_solve", counting_solve)
+    for name in ("eigvalsh", "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+    for reps in (15, 30):   # one chunk each
+        counts.clear()
+        solves.clear()
+        s = run_replications(_boundary_config(reps))
+        assert s.n_ok == reps and s.n_boundary > 0
+        assert counts["eigvalsh"] <= 3 and counts["qr"] == 1
+        assert counts["cholesky"] <= 1 + len(solves)
 
 
 def test_pool_is_never_larger_than_the_replicates(monkeypatch):
@@ -426,6 +483,37 @@ def test_failed_replicates_are_nan_rows(monkeypatch):
     assert s.gap_median == np.median(s.ml_reml_gap[inside])
     assert np.array_equal(s.empirical_covariance,
                           np.cov(s.normalized_error[inside], rowvar=False))
+
+
+def test_an_interval_failure_fails_its_replicate_only(monkeypatch):
+    # the intervals of a chunk are one stacked call; a row whose moments
+    # are no finite doubles fails its own replicate, with the text the
+    # row gives alone, and the other rows keep their hits
+    real_fit_batch = simulation.fit_batch
+    planted = {}
+
+    def far_off(datasets):   # an ML fit far off on a seed-fixed subset
+        out = []
+        for ds, (ml, reml) in zip(datasets, real_fit_batch(datasets)):
+            if ds.y[0] > 0.3:
+                om = ml.omega_hat
+                om = ParameterVector(1e300, om.beta1, om.sigma_alpha_sq,
+                                     om.beta2, om.sigma_e_sq)
+                ml = dataclasses.replace(ml, omega_hat=om)
+            planted[id(ds)] = ml
+            out.append([ml, reml])
+        return out
+
+    monkeypatch.setattr(simulation, "fit_batch", far_off)
+    cfg = _plain_config()
+    s = run_replications(cfg)
+    failed = s.error != ""
+    assert 0 < failed.sum() < 24
+    assert set(s.error[failed]) == {"NonFiniteValue: moment estimates must be finite"}
+    monkeypatch.setattr(simulation, "fit_batch", real_fit_batch)
+    clean = run_replications(cfg)
+    assert np.array_equal(s.ci_hits[~failed], clean.ci_hits[~failed])
+    assert np.array_equal(s.omega_reml[~failed], clean.omega_reml[~failed])
 
 
 # ---------------------------------------------------------------------------
