@@ -4,11 +4,9 @@ CSV input schema: a header row with columns ``cluster`` (string label),
 ``y`` (response), ``b_1..b_pb`` (between covariates, constant inside a
 cluster) and ``w_1..w_pw`` (within covariates); column order is free,
 numbering must be contiguous from 1.  Clusters are formed by grouping rows
-on the label, in order of first appearance.  The data rows are parsed in
-one bulk ``np.loadtxt`` pass; the ``csv`` row reader runs only when that
-pass does not take the file, to report the error with its line number or
-to read quoted fields and numbers that only Python's ``float`` takes, and
-on input that cannot be rewound, such as a pipe.
+on the label, in order of first appearance.  The file is UTF-8 (a leading
+BOM is skipped), parsed in one bulk ``np.loadtxt`` pass that codes the
+labels in C; :func:`read_dataset_csv` says when the row reader runs.
 
 Exit codes: 0 success, 2 completed with flags raised (variance on the
 boundary, degenerate interval), 1 failure (bad input, singular design).
@@ -28,7 +26,9 @@ import math
 import sys
 import warnings
 from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from itertools import count
 from operator import itemgetter
 
 import numpy as np
@@ -164,6 +164,8 @@ def _read_rows(fh, path: str) -> ClusteredDataset:
             lines.append(reader.line_num)
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:   # decoded a block at a time: no line
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not labels:
         raise ParseError(f"{path}: no data rows")
     code = np.frombuffer(codes, dtype=np.int64)
@@ -177,27 +179,24 @@ def _read_rows(fh, path: str) -> ClusteredDataset:
 def _read_bulk(fh, path: str) -> ClusteredDataset | None:
     """The dataset in the open file ``fh`` from its header and one
     ``np.loadtxt`` pass over the rows after it, or None when that pass does
-    not take the file as it stands."""
+    not take the file as it stands.  Labels are coded by C calls alone and
+    checked after the pass, once per distinct label."""
     try:
         width, columns, p_b = _read_header(csv.reader(fh), path)
-    except csv.Error:   # the row reader names the line
+    except (csv.Error, UnicodeDecodeError):   # the row reader reports it
         return None
-    labels: dict[str, int] = {}
-
-    def number(field: str) -> int:
-        label = field.strip()
-        if not label or '"' in label:   # an error, or csv quoting
-            raise ValueError(field)
-        return labels.setdefault(label, len(labels))
-
+    labels = defaultdict(count().__next__)   # codes by first appearance
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # no data rows
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                              quotechar=None, converters={columns[0]: number})
+            rows = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                              ndmin=2, converters={columns[0]: labels.__getitem__})
     except ValueError:
         return None
     if rows.shape[1] != width:   # every row ragged alike, or no data rows
+        return None
+    if not all(label and label == label.strip() and '"' not in label
+               for label in labels):   # the row reader strips, unquotes or rejects
         return None
     ds = _grouped(labels, rows[:, columns[0]].astype(np.int64),
                   rows[:, columns[1:]], p_b)
@@ -207,24 +206,24 @@ def _read_bulk(fh, path: str) -> ClusteredDataset | None:
 def read_dataset_csv(path: str) -> ClusteredDataset:
     """Parse a dataset CSV (see module docstring for the schema).
 
-    The file is opened once.  Its data rows are parsed in one
-    ``np.loadtxt`` pass, numbered by cluster label in order of first
-    appearance and regrouped stably, so each cluster keeps its rows in file
-    order.  A file that pass does not take as it stands (a quoted field, a
-    number only Python's ``float`` reads, any malformed row) is read again
-    from its start by the ``csv`` row reader, which returns the same
-    dataset or raises the error naming the line.  Input that cannot be
-    rewound, such as a pipe, goes to the row reader alone.
+    The file is opened once, as UTF-8 (a leading BOM is skipped).  Its
+    data rows are parsed in one ``np.loadtxt`` pass that codes the labels
+    in C by first appearance (each distinct label is checked once), then
+    regrouped stably, so each cluster keeps its rows in file order.  A
+    file that pass does not take (a quoted or padded label, a number only
+    Python's ``float`` reads, any malformed row) is read again from its
+    start by the ``csv`` row reader, which returns the same dataset or
+    raises the error naming the line.  A pipe goes to the row reader alone.
 
     Raises:
-        ParseError: unreadable file, missing or repeated columns, a row
-            whose field count differs from the header's, non-numeric
-            fields, or a between covariate that varies inside a cluster.
+        ParseError: unreadable or non-UTF-8 file, missing or repeated
+            columns, a row whose field count differs from the header's,
+            non-numeric fields, or a between covariate varying in a cluster.
         NonFiniteValue: NaN or infinity in a response or covariate (see
             :class:`ClusteredDataset`).
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -243,7 +242,7 @@ def write_dataset_csv(ds: ClusteredDataset, path: str) -> None:
               + [f"w_{k}" for k in range(1, ds.p_w + 1)])
     sizes = ds.cluster_sizes
     rows = np.hstack([ds.y[:, None], np.repeat(ds.x_b, sizes, axis=0), ds.x_w])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([label, *map(_fmt, row)] for label, row in

@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerm.cli import (
@@ -35,8 +36,9 @@ from .helpers import Cluster, clusters, make_dataset, pack, random_dataset
 
 
 def _write(tmp_path, text, name="data.csv"):
+    # UTF-8, with a lone surrogate such as "\udcff" written as its raw byte
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return str(path)
 
 
@@ -143,7 +145,7 @@ def test_read_csv_missing_file(tmp_path):
         read_dataset_csv(str(tmp_path / "nowhere.csv"))
 
 
-_LABELS = ["a", "b", " a ", "c#", "#"]
+_LABELS = ["a", "b", " a ", "a ", "\ta", "a b", "c#", "#"]
 _NUMBERS = ["1", "-2.5", " 1.5 ", "+0.5", "1.", ".5", "1e3", "0"]
 _QUOTED_LABELS = ['"a"', 'b"', '" c"']
 _EMPTY_LABELS = ["", " "]
@@ -187,11 +189,12 @@ def _csv_texts(draw):
                 fields.append("1")
             lines.append(",".join(fields))
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))   # as spreadsheets write it
+    return bom + end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 def _row_reader(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _read_rows(fh, path)
 
 
@@ -207,22 +210,18 @@ def _outcome(read, path):
 
 @settings(max_examples=300, deadline=None)
 @given(text=_csv_texts())
+@example(text='cluster,y\n"a",1\nb,2\n')   # each label rule, every run
+@example(text="cluster,y\n,1\nb,2\n")
+@example(text="cluster,y\na,1\na ,2\n\ta,3\na b,4\n")
 def test_read_csv_bulk_parse_matches_the_row_reader(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "bulk-parse.csv"
     path.write_bytes(text.encode())
     assert _outcome(read_dataset_csv, str(path)) == _outcome(_row_reader, str(path))
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("tail", ["", "z,1,2\n"])   # well formed, or ragged
-def test_read_csv_from_a_pipe_reads_every_row(tmp_path, tail):
-    # input that cannot be rewound is read once, from its first line
-    ds, _ = random_dataset(np.random.default_rng(59), g=400)
-    path = tmp_path / "data.csv"
-    write_dataset_csv(ds, str(path))
-    text = path.read_bytes() + tail.encode()
-    assert len(text) > 64 * 1024   # more than one pipe buffer
-    path.write_bytes(text)
+def _through_a_pipe(text: bytes):
+    """The pipe's name and the :func:`_outcome` of reading ``text`` from
+    it, fed by a thread."""
     r, w = os.pipe()
 
     def feed():
@@ -236,16 +235,68 @@ def test_read_csv_from_a_pipe_reads_every_row(tmp_path, tail):
     writer.start()
     pipe = f"/dev/fd/{r}"
     try:
-        outcome = _outcome(read_dataset_csv, pipe)
+        return pipe, _outcome(read_dataset_csv, pipe)
     finally:
         os.close(r)
         writer.join(timeout=10)
+
+
+_NEEDS_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@_NEEDS_FD
+@pytest.mark.parametrize("tail", ["", "z,1,2\n"])   # well formed, or ragged
+def test_read_csv_from_a_pipe_reads_every_row(tmp_path, tail):
+    # input that cannot be rewound is read once, from its first line
+    ds, _ = random_dataset(np.random.default_rng(59), g=400)
+    path = tmp_path / "data.csv"
+    write_dataset_csv(ds, str(path))
+    text = path.read_bytes() + tail.encode()
+    assert len(text) > 64 * 1024   # more than one pipe buffer
+    path.write_bytes(text)
+    pipe, outcome = _through_a_pipe(text)
     if tail:   # the same error, on the same line
         assert outcome[1] == _outcome(read_dataset_csv, str(path))[1].replace(
             str(path), pipe)
     else:
         assert outcome == _outcome(read_dataset_csv, str(path))
         assert read_dataset_csv(str(path)).n == ds.n
+
+
+@pytest.mark.parametrize("through", ["path", pytest.param("pipe", marks=_NEEDS_FD)])
+def test_read_csv_skips_a_byte_order_mark(tmp_path, through):
+    # a UTF-8 BOM before the header, as spreadsheet exports write it
+    text = ("\ufeff" + GOOD_CSV).encode()
+    if through == "pipe":
+        outcome = _through_a_pipe(text)[1]
+    else:
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text)
+        outcome = _outcome(read_dataset_csv, str(path))
+    assert outcome == _outcome(read_dataset_csv, _write(tmp_path, GOOD_CSV))
+
+
+def test_read_csv_calls_no_python_code_per_row(tmp_path):
+    # labels are coded in C inside the bulk pass: four times the rows of
+    # the same 4,000 clusters add no Python call per row
+    rng = np.random.default_rng(60)
+
+    def calls(m):
+        path = tmp_path / f"rows-{m}.csv"
+        with open(path, "w") as fh:
+            fh.write("cluster,y,w_1\n")
+            fh.writelines(f"k{i},{rng.normal()!r},{rng.normal()!r}\n"
+                          for _ in range(m) for i in range(4000))
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            ds = read_dataset_csv(str(path))
+        finally:
+            sys.setprofile(None)
+        assert ds.g == 4000 and ds.n == 4000 * m
+        return events.count("call")
+
+    assert calls(8) <= calls(2) + 500
 
 
 def test_read_csv_by_content_not_file_name(tmp_path):
@@ -479,8 +530,13 @@ def test_fit_missing_input_fails(tmp_path, capsys):
     # a quoted label over csv's field size limit, read by the row reader
     ('cluster,y,w_1\na,1,0.1\n"' + "a" * 140_000 + '",2,0.3\n',
      "error: {path}:3: field larger than field limit (131072)"),
+    # a byte that is not UTF-8, in a label or in the header
+    ("cluster,y,w_1\na,1,0.1\na,2,0.3\n\udcff,3,0.2\n\udcff,5,0.7\n",
+     "error: {path}: not UTF-8 text (invalid start byte)"),
+    ("cluster,y,w_1\udcff\na,1,0.1\na,2,0.3\nb,3,0.2\nb,5,0.7\n",
+     "error: {path}: not UTF-8 text (invalid start byte)"),
 ], ids=["one-cluster", "all-singletons", "nan-response", "inf-within",
-        "nan-between", "long-label"])
+        "nan-between", "long-label", "undecodable-label", "undecodable-header"])
 def test_bad_input_fails_with_its_error_line(tmp_path, capsys, command, text, line):
     path = _write(tmp_path, text)
     assert main([command, "--input", path]) == EXIT_FAIL
