@@ -54,6 +54,7 @@ from .errors import (
 from .estimation import FitResult
 from .model import (
     ClusteredDataset,
+    _rowwise,
     assemble,
     parameter_layout,
     parameter_names,
@@ -322,8 +323,8 @@ def confidence_intervals(fits: Sequence[FitResult], limits: CovariateLimits,
     u = np.asarray(moments.unit)[..., None]   # C and v in the moments' units
     theta = np.array([fit.omega_hat.theta for fit in fits])
     C = matrix_C(limits, theta / u, moments)
-    v = np.diagonal(C, axis1=1, axis2=2) \
-        / np.stack([normalization(fit.g, fit.n, p_b, p_w) for fit in fits])
+    K = {gn: normalization(*gn, p_b, p_w) for gn in {(fit.g, fit.n) for fit in fits}}
+    v = np.diagonal(C, axis1=1, axis2=2) / np.stack([K[fit.g, fit.n] for fit in fits])
     var = [ia, ie]
     flat = np.diagonal(C, axis1=1, axis2=2)[:, var] <= 0.0
     v[:, var] = np.where(flat, 0.0, v[:, var])
@@ -355,11 +356,8 @@ def intervals(datasets: Sequence[ClusteredDataset], fits: Sequence[FitResult],
     the dataset's own limits and moments, or the NermError that its limits,
     moments or intervals raise; a failure fails only its own pair.
     """
-    try:
-        return confidence_intervals(fits, CovariateLimits.from_datasets(datasets),
-                                    estimate_moments(datasets, fits), gamma)
-    except NermError as exc:   # find the pairs that fail
-        if len(fits) == 1:
-            return [exc]
-        return [out for ds, fit in zip(datasets, fits)
-                for out in intervals([ds], [fit], gamma)]
+    def stack(pairs):
+        ds, fs = zip(*pairs)
+        return confidence_intervals(fs, CovariateLimits.from_datasets(ds),
+                                    estimate_moments(ds, fs), gamma)
+    return _rowwise(stack, list(zip(datasets, fits)), NermError)

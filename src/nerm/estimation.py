@@ -73,6 +73,7 @@ from .model import (
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
+    _rowwise,
     parameter_layout,
     sufficient_stats,
     sufficient_stats_batch,
@@ -385,45 +386,40 @@ def _prepare(stats: Sequence[SufficientStats]) -> list:
     return out
 
 
-def _fit_group(datasets: list, stats: list, methods) -> list:
-    """:func:`fit_batch` of datasets that share their cluster sizes, with
-    their statistics."""
+def _fit_group(group: list, methods) -> list:
+    """:func:`fit_batch` of (index, dataset, statistics) triples whose
+    datasets share their cluster sizes."""
+    _, datasets, stats = zip(*group)
     prepared = _prepare(stats)
     if all(isinstance(p, NermError) for p in prepared):
         return [[p] * len(methods) for p in prepared]
-    try:
-        cells = [(j, m == "reml") for j, p in enumerate(prepared)
-                 if not isinstance(p, NermError) for m in methods]
-        rows = _rows([stats[j] for j, _ in cells], [reml for _, reml in cells])
-        search = [c for c, (j, _) in enumerate(cells) if not prepared[j][1]]
-        found = zip(*_maximize(rows.take(search))) if search else iter(())
-        fits = []
-        for j, reml in cells:
-            try:
-                beta2, collapsed = prepared[j]
-                if collapsed:
-                    fits.append((_collapsed(datasets[j], beta2, reml), True, 0))
-                else:
-                    gamma, beta, se, boundary, evals = next(found)
-                    fits.append((_omega_at(stats[j], beta, (gamma * se, se)),
-                                 bool(boundary), int(evals)))
-            except NermError as exc:
-                fits.append(exc)
-        done = [c for c, f in enumerate(fits) if not isinstance(f, NermError)]
-        if done:
-            for c, fit in zip(done, _finish([stats[cells[c][0]] for c in done],
-                                            [fits[c] for c in done],
-                                            [cells[c][1] for c in done])):
-                fits[c] = fit
-        by_dataset = iter(fits[c:c + len(methods)]
-                          for c in range(0, len(fits), len(methods)))
-        return [[p] * len(methods) if isinstance(p, NermError) else next(by_dataset)
-                for p in prepared]
-    except SingularDelta as exc:   # an M(gamma) failed to factor by rounding
-        if len(datasets) == 1:
-            return [[exc] * len(methods)]
-        return [f for ds, st in zip(datasets, stats)
-                for f in _fit_group([ds], [st], methods)]
+    cells = [(j, m == "reml") for j, p in enumerate(prepared)
+             if not isinstance(p, NermError) for m in methods]
+    rows = _rows([stats[j] for j, _ in cells], [reml for _, reml in cells])
+    search = [c for c, (j, _) in enumerate(cells) if not prepared[j][1]]
+    found = zip(*_maximize(rows.take(search))) if search else iter(())
+    fits = []
+    for j, reml in cells:
+        try:
+            beta2, collapsed = prepared[j]
+            if collapsed:
+                fits.append((_collapsed(datasets[j], beta2, reml), True, 0))
+            else:
+                gamma, beta, se, boundary, evals = next(found)
+                fits.append((_omega_at(stats[j], beta, (gamma * se, se)),
+                             bool(boundary), int(evals)))
+        except NermError as exc:
+            fits.append(exc)
+    done = [c for c, f in enumerate(fits) if not isinstance(f, NermError)]
+    if done:
+        for c, fit in zip(done, _finish([stats[cells[c][0]] for c in done],
+                                        [fits[c] for c in done],
+                                        [cells[c][1] for c in done])):
+            fits[c] = fit
+    by_dataset = iter(fits[c:c + len(methods)]
+                      for c in range(0, len(fits), len(methods)))
+    return [[p] * len(methods) if isinstance(p, NermError) else next(by_dataset)
+            for p in prepared]
 
 
 def objective_batch(stats: Sequence[SufficientStats], omegas: np.ndarray,
@@ -517,12 +513,12 @@ def fit_batch(datasets: Sequence[ClusteredDataset],
     groups = {}
     for i, st in zip(ok, sufficient_stats_batch([datasets[i] for i in ok])):
         key = (st.sizes.tobytes(), st.counts.tobytes(), st.p_b, st.p_w)
-        groups.setdefault(key, []).append((i, st))
+        groups.setdefault(key, []).append((i, datasets[i], st))
     for group in groups.values():
-        index, stats = zip(*group)
-        for i, fits in zip(index, _fit_group([datasets[i] for i in index],
-                                             list(stats), methods)):
-            out[i] = fits
+        # an M(gamma) that fails to factor by rounding fails its dataset only
+        fits = _rowwise(lambda rows: _fit_group(rows, methods), group, SingularDelta)
+        for (i, _, _), f in zip(group, fits):
+            out[i] = [f] * len(methods) if isinstance(f, NermError) else f
     return out
 
 

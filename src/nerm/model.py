@@ -94,6 +94,9 @@ class ParameterVector:
                 and np.all(np.isfinite(self.beta1))
                 and np.all(np.isfinite(self.beta2))):
             raise NonFiniteValue("regression coefficients must be finite")
+        object.__setattr__(self, "_flat", _readonly(assemble(  # built once
+            self.p_b, self.p_w, self.beta0, self.beta1, self.sigma_alpha_sq,
+            self.beta2, self.sigma_e_sq)))
 
     @property
     def p_b(self) -> int:
@@ -114,9 +117,8 @@ class ParameterVector:
         return np.concatenate(([self.beta0], self.beta1, self.beta2))
 
     def flatten(self) -> np.ndarray:
-        """Canonical flat layout, see :func:`parameter_layout`."""
-        return assemble(self.p_b, self.p_w, self.beta0, self.beta1,
-                        self.sigma_alpha_sq, self.beta2, self.sigma_e_sq)
+        """Canonical flat layout, see :func:`parameter_layout`; read-only."""
+        return self._flat
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterVector):
@@ -385,23 +387,26 @@ def _stack_stats(datasets) -> list[SufficientStats]:
     k = q - S_w_x.shape[2]
     M = (sizes @ G.reshape(nrow, sizes.size, -1)).reshape(nrow, q + 1, q + 1)[:, :q, :q]
     M[:, k:, k:] += S_w_x
-    collinear = np.zeros(nrow, dtype=bool)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:   # find the rows that do not factor
-        collinear = np.array([not _factors(a) for a in M])
+    collinear = [isinstance(L, np.linalg.LinAlgError)
+                 for L in _rowwise(np.linalg.cholesky, M, np.linalg.LinAlgError)]
     return [SufficientStats(
         m=m, ybar=ybar[i], xbar_w=xbar_w[i], Z=Z[i], S_w_y=S_w_y[i],
         S_w_xy=S_w_xy[i], S_w_x=S_w_x[i], sizes=sizes, counts=counts, G=G[i],
         R=R[i], n=first.n, g=g, collinear=collinear[i]) for i in range(nrow)]
 
 
-def _factors(a: np.ndarray) -> bool:
+def _rowwise(fn, rows, error) -> list:
+    """``fn`` of the stack ``rows``, which gives one result per row.  When
+    that raises ``error``, ``fn`` of each row alone, and a row that raises
+    it gets the exception in place of its result: a failure fails only its
+    own row.  No rows give []."""
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+        return list(fn(rows)) if len(rows) else []
+    except error as exc:
+        if len(rows) == 1:
+            return [exc]
+        return [out for i in range(len(rows))
+                for out in _rowwise(fn, rows[i:i + 1], error)]
 
 
 def tau(theta: tuple[float, float], m_i) -> np.ndarray | float:

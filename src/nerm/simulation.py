@@ -403,7 +403,8 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> list:
     ci_hits, ml_reml_gap) and its cluster-mean errors, which a failed
     replicate keeps too.  A replicate fails alone, with the first error its
     dataset, fits or intervals raise."""
-    sizes, true_flat = cfg.sizes, cfg.true_omega.flatten()
+    sizes, om = cfg.sizes, cfg.true_omega
+    true_flat, k_half = om.flatten(), np.sqrt(normalization(cfg.g, cfg.n, om.p_b, om.p_w))
     built, ebars = [], []
     for k in range(start, stop):   # the draws are dropped once used
         draws = _draw(cfg, k)
@@ -419,8 +420,7 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> list:
         failed = [f for f in fit if isinstance(f, NermError)]
         done.append(failed[0] if failed else (ds, *fit))
     ok = [d for d in done if not isinstance(d, NermError)]
-    cis = iter(intervals([ds for ds, _, _ in ok], [ml for _, ml, _ in ok],
-                         cfg.gamma) if ok else ())
+    cis = iter(intervals([ds for ds, _, _ in ok], [ml for _, ml, _ in ok], cfg.gamma))
     out = []
     for ebar, d in zip(ebars, done):
         ci = d if isinstance(d, NermError) else next(cis)
@@ -429,9 +429,8 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> list:
             row = (f"{type(ci).__name__}: {ci}", False, nan, nan, nan,
                    np.zeros(true_flat.size, dtype=bool), math.nan)
         else:
-            ds, ml, reml = d
+            _, ml, reml = d
             om_ml, om_reml = ml.omega_hat.flatten(), reml.omega_hat.flatten()
-            k_half = np.sqrt(normalization(ds.g, ds.n, ds.p_b, ds.p_w))
             row = ("", bool(ml.boundary_flag or reml.boundary_flag), om_ml,
                    om_reml, k_half * (om_ml - true_flat),
                    np.array([c.contains(t) for c, t in zip(ci, true_flat)]),

@@ -16,8 +16,10 @@ B^-1 A B^-1 the library's ``matrix_C`` must equal), the score derivative
 and its expectation, the finite-design B_n, the REML criterion and the
 cluster-mean moment diagnostics.  These build on the library's public
 layout, ``tau``, ``profile_beta`` and ``likelihood_batch``, never on its
-private helpers; the tests check them against finite differences, Monte
-Carlo averages and each other.
+private helpers, except that the brute-force grids evaluate the objective
+of ``profile_beta`` and ``log_likelihood`` at all their points through
+the stacked solve ``_solve`` that ``profile_beta`` wraps; the tests check
+them against finite differences, Monte Carlo averages and each other.
 
 The library's likelihood, moments, limits and intervals take a stack of
 rows, one per dataset or fit.  Their one-dataset views, which only the
@@ -35,7 +37,7 @@ from nerm.asymptotics import CovariateLimits, MomentEstimates, normalization
 from nerm.asymptotics import confidence_intervals as intervals_batch
 from nerm.asymptotics import estimate_moments as moments_batch
 from nerm.errors import RaggedCovariates
-from nerm.estimation import objective_batch, profile_beta
+from nerm.estimation import _rows, _solve, objective_batch, profile_beta
 from nerm.likelihood import likelihood_batch
 from nerm.model import (
     ClusteredDataset,
@@ -504,6 +506,22 @@ def reml_criterion(stats: SufficientStats, theta) -> float:
     k = 1 + stats.p_b
     omega = ParameterVector(beta[0], beta[1:k], theta[0], beta[k:], theta[1])
     return log_likelihood(stats, omega) - 0.5 * np.linalg.slogdet(delta)[1]
+
+
+def grid_objective(stats: SufficientStats, sa, se, reml: bool) -> np.ndarray:
+    """The profiled objective at every theta = (sa[k], se[k]) at once: per
+    point what ``profile_beta`` and ``log_likelihood`` give (less (1/2) log
+    det Delta for REML, as in :func:`reml_criterion`), from one stacked
+    ``_solve`` over gamma = sa / se and one ``likelihood_batch`` call."""
+    sa, se = np.asarray(sa, dtype=float), np.asarray(se, dtype=float)
+    p = _solve(_rows([stats], [False]), (sa / se)[None])
+    beta, L = p.beta[0], p.L[0]
+    omegas = np.insert(beta, [1 + stats.p_b, beta.shape[1]],
+                       np.stack((sa, se), axis=1), axis=1)
+    value = likelihood_batch([stats] * sa.size, omegas)[0]
+    if reml:   # Delta = L L' / sigma_e_sq
+        value -= 0.5 * np.linalg.slogdet(L @ np.swapaxes(L, 1, 2) / se[:, None, None])[1]
+    return value
 
 
 def score_jacobian_rows(stats, omegas) -> np.ndarray:

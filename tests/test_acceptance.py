@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from nerm.asymptotics import CovariateLimits, MomentEstimates, matrix_C
-from nerm.estimation import fit_ml, fit_reml, profile_beta
+from nerm.estimation import fit_ml, fit_reml
 from nerm.model import ParameterVector, sufficient_stats
 from nerm.simulation import (
     RandomCovariates,
@@ -37,6 +37,7 @@ from .helpers import (
     fd_gradient,
     fd_jacobian,
     from_flat,
+    grid_objective,
     log_likelihood,
     make_dataset,
     matrix_A,
@@ -46,7 +47,6 @@ from .helpers import (
     normal_theory,
     random_dataset,
     random_omega,
-    reml_criterion,
     score,
     score_jacobian,
 )
@@ -190,25 +190,16 @@ def test_criterion_03_closed_form_fixture(capsys):
     ml_err = float(np.max(np.abs(ml.omega_hat.flatten() - [2.5, 0.75, 0.5])))
     reml_err = float(np.max(np.abs(reml.omega_hat.flatten() - [2.5, 1.75, 0.5])))
 
-    def ml_objective(theta):
-        beta, _ = profile_beta(stats, theta)
-        omega = ParameterVector(beta[0], np.zeros(0), theta[0], np.zeros(0), theta[1])
-        return log_likelihood(stats, omega)
-
     grids_ok = True
     details = []
-    for fit, objective, center in (
-        (ml, ml_objective, (0.75, 0.5)),
-        (reml, lambda th: reml_criterion(stats, th), (1.75, 0.5)),
-    ):
+    for fit, center in ((ml, (0.75, 0.5)), (reml, (1.75, 0.5))):
         ua = np.log(center[0]) + np.linspace(-3.0, 3.0, 201)
         ue = np.log(center[1]) + np.linspace(-3.0, 3.0, 201)
-        best_val, best_point = -np.inf, None
-        for a in ua:
-            for e in ue:
-                val = objective((math.exp(a), math.exp(e)))
-                if val > best_val:
-                    best_val, best_point = val, (a, e)
+        a, e = (u.ravel() for u in np.meshgrid(ua, ue, indexing="ij"))
+        vals = grid_objective(stats, [math.exp(x) for x in a], [math.exp(x) for x in e],
+                              fit.method == "reml")
+        best = int(np.argmax(vals))   # the first largest, a-major as a loop finds it
+        best_val, best_point = vals[best], (a[best], e[best])
         spacing = 6.0 / 200
         theta_hat = fit.omega_hat.theta
         log_gap = max(abs(best_point[0] - math.log(theta_hat[0])),

@@ -40,6 +40,7 @@ from .helpers import (
     close,
     clusters,
     fd_gradient,
+    grid_objective,
     log_likelihood,
     make_dataset,
     pack,
@@ -262,20 +263,10 @@ def test_fit_beats_a_dense_grid(reml):
     st = sufficient_stats(ds)
     fit = (fit_reml if reml else fit_ml)(ds)
     th_hat = np.asarray(fit.omega_hat.theta)
-
-    def objective(theta):
-        if reml:
-            return reml_criterion(st, theta)
-        beta, _ = profile_beta(st, theta)
-        om = ParameterVector(beta[0], beta[1:2], theta[0], beta[2:], theta[1])
-        return log_likelihood(st, om)
-
-    best = objective(th_hat)
     grid = np.exp(np.linspace(np.log(th_hat) - 3.0, np.log(th_hat) + 3.0, 201))
-    worst_gap = 0.0
-    for ta in grid[:, 0]:
-        for te in grid[:, 1]:
-            worst_gap = min(worst_gap, best - objective((ta, te)))
+    ta, te = (t.ravel() for t in np.meshgrid(grid[:, 0], grid[:, 1], indexing="ij"))
+    values = grid_objective(st, np.r_[th_hat[0], ta], np.r_[th_hat[1], te], reml)
+    worst_gap = min(0.0, float(np.min(values[0] - values[1:])))   # values[0]: the fit
     assert worst_gap >= -1e-9  # nothing on the grid beats the fit
 
 

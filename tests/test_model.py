@@ -1,5 +1,7 @@
 """Data containers, validation, centering, sufficient statistics, tau."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from nerm.model import (
     ParameterVector,
     center_within_covariates,
     sufficient_stats,
+    sufficient_stats_batch,
     tau,
 )
 
@@ -41,6 +44,7 @@ def test_parameter_round_trip():
     om = ParameterVector(1.5, [0.1, -0.2], 2.0, [0.3], 0.7)
     flat = om.flatten()
     assert flat.tolist() == [1.5, 0.1, -0.2, 2.0, 0.3, 0.7]
+    assert om.flatten() is flat and not flat.flags.writeable   # built once
     back = from_flat(flat, p_b=2, p_w=1)
     assert back == om
 
@@ -211,6 +215,33 @@ def test_sufficient_stats_are_computed_once_and_carry_the_design():
     assert np.array_equal(st_.Z[:, 1:3], ds.x_b)
     assert np.array_equal(st_.Z[:, 3:], st_.xbar_w)
     assert not st_.Z.flags.writeable
+
+
+def test_a_collinear_dataset_is_flagged_alone_in_its_stack():
+    # datasets that share their cluster layout are reduced in one stacked
+    # pass, whose collinearity check then falls back to one row at a time:
+    # wherever the exactly collinear dataset (x_b the intercept) sits, it
+    # alone is flagged, and every dataset's statistics are its own alone.
+    # With n = 16 rows, M(0)'s second Cholesky pivot is n - (n / sqrt(n))^2
+    # = 0 exactly, so that dataset fails to factor
+    rng = np.random.default_rng(42)
+    offsets = np.concatenate(([0], np.cumsum([2, 3, 3, 4, 2, 2])))
+    n, ids = offsets[-1], [f"c{k}" for k in range(6)]
+    draws = [(rng.normal(size=n), rng.normal(size=(n, 1)),
+              np.ones((6, 1)) if k == 0 else rng.normal(size=(6, 1)))
+             for k in range(5)]
+
+    def dataset(k):   # a new object, with no statistics cached yet
+        y, x_w, x_b = draws[k]
+        return ClusteredDataset(y=y, x_w=x_w, x_b=x_b, offsets=offsets, ids=ids)
+
+    for order in ([0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [1, 2, 3, 4, 0]):
+        stacked = sufficient_stats_batch([dataset(k) for k in order])
+        assert [s.collinear for s in stacked] == [k == 0 for k in order]
+        for k, st_ in zip(order, stacked):
+            alone = sufficient_stats(dataset(k))
+            for f in dataclasses.fields(alone):
+                assert np.array_equal(getattr(st_, f.name), getattr(alone, f.name)), f.name
 
 
 def test_s_w_x_positive_semidefinite():

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from nerm import estimation, simulation
+from nerm import asymptotics, estimation, model, simulation
 from nerm.asymptotics import intervals, normalization
 from nerm.cli import main, write_dataset_csv
 from nerm.errors import (
@@ -252,6 +252,7 @@ def test_a_replicate_fits_the_same_in_any_batch(tmp_path, capsys):
     chunk = intervals(datasets, mls, cfg.gamma)
     assert chunk == [intervals([ds], [ml], cfg.gamma)[0]
                      for ds, ml in zip(datasets, mls)]
+    assert intervals([], [], cfg.gamma) == [] == estimation.fit_batch([])
     runs = [run_replications(cfg), run_replications(cfg, max_workers=2),
             run_replications(_boundary_config(15))]
     for s in runs:
@@ -303,7 +304,8 @@ def test_a_chunk_shares_its_factorizations(monkeypatch):
     # collinearity check of a chunk are stacked calls: a fixed number of
     # eigvalsh and QR calls per chunk, and one Cholesky call besides those
     # of the normal-equation solves (per replicate, unbatched: 3 eigvalsh,
-    # 1 QR and 1 Cholesky)
+    # 1 QR and 1 Cholesky); and each fit is flattened once, when it is
+    # built, so the flat layout is assembled about twice per replicate
     counts = {}
     solves = []
     solve = estimation._solve
@@ -321,6 +323,8 @@ def test_a_chunk_shares_its_factorizations(monkeypatch):
     monkeypatch.setattr(estimation, "_solve", counting_solve)
     for name in ("eigvalsh", "qr", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+    for module in (model, asymptotics):
+        monkeypatch.setattr(module, "assemble", counter("assemble", module.assemble))
     for reps in (15, 30):   # one chunk each
         counts.clear()
         solves.clear()
@@ -328,6 +332,7 @@ def test_a_chunk_shares_its_factorizations(monkeypatch):
         assert s.n_ok == reps and s.n_boundary > 0
         assert counts["eigvalsh"] <= 3 and counts["qr"] == 1
         assert counts["cholesky"] <= 1 + len(solves)
+        assert counts["assemble"] <= 2 * reps + 8
 
 
 def test_pool_is_never_larger_than_the_replicates(monkeypatch):
