@@ -54,6 +54,7 @@ from .errors import (
 from .estimation import FitResult
 from .model import (
     ClusteredDataset,
+    _one_layout,
     _rowwise,
     assemble,
     parameter_layout,
@@ -91,6 +92,16 @@ def normal_quantile(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise InvalidConfig(f"quantile level must lie in (0, 1), got {p!r}")
     return statistics.NormalDist().inv_cdf(p)
+
+
+def _two_sided_z(gamma: float) -> float:
+    """The quantile z of 1 - gamma/2 for a two-sided miscoverage gamma, or
+    InvalidConfig naming gamma unless 0.5 < 1 - gamma/2 < 1 in double
+    precision, which fails outside (0, 1) and within 1.1e-16 of an end."""
+    if not 0.5 < 1.0 - gamma / 2.0 < 1.0:
+        raise InvalidConfig(f"gamma must lie in (0, 1), with 1 - gamma/2 below 1 "
+                            f"in double precision; got {gamma!r}")
+    return normal_quantile(1.0 - gamma / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +321,11 @@ def confidence_intervals(fits: Sequence[FitResult], limits: CovariateLimits,
         sigma_e_sq tagged "extension"; a variance whose diagonal of C is not
         positive comes back flagged with zero width.
     """
-    if not (0.0 < gamma < 1.0):
-        raise InvalidConfig(f"gamma must lie in (0, 1), got {gamma!r}")
+    z = _two_sided_z(gamma)
     p_b, p_w = fits[0].omega_hat.p_b, fits[0].omega_hat.p_w
     if (limits.p_b, limits.p_w) != (p_b, p_w):
         raise RaggedCovariates(f"limits have (p_b, p_w) = ({limits.p_b}, "
                                f"{limits.p_w}), the fit ({p_b}, {p_w})")
-    z = normal_quantile(1.0 - gamma / 2.0)
     level = 1.0 - gamma
     est = np.stack([fit.omega_hat.flatten() for fit in fits])
     _, i0, _, ia, _, ie = parameter_layout(p_b, p_w)
@@ -355,7 +364,12 @@ def intervals(datasets: Sequence[ClusteredDataset], fits: Sequence[FitResult],
     Returns, per pair, the list :func:`confidence_intervals` gives it from
     the dataset's own limits and moments, or the NermError that its limits,
     moments or intervals raise; a failure fails only its own pair.
+    RaggedCovariates when the datasets differ in their cluster layout or
+    in number from the fits.
     """
+    _one_layout(datasets)
+    if len(datasets) != len(fits):
+        raise RaggedCovariates(f"{len(datasets)} datasets, {len(fits)} fits")
     def stack(pairs):
         ds, fs = zip(*pairs)
         return confidence_intervals(fs, CovariateLimits.from_datasets(ds),

@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .asymptotics import intervals
+from .asymptotics import _two_sided_z, intervals
 from .errors import InvalidConfig, NermError, ParseError
 from .estimation import FitResult, fit_batch
 from .model import (
@@ -311,8 +311,7 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("ml", "reml", "both"):
             raise InvalidConfig(f"method must be ml, reml or both, got {self.method!r}")
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidConfig(f"gamma must lie in (0, 1), got {self.gamma}")
+        _two_sided_z(self.gamma)   # InvalidConfig before any input is read
         if self.contextual and not self.center:
             raise InvalidConfig("--contextual requires --center")
         if self.p_b < 0 or self.p_w < 0:

@@ -34,10 +34,10 @@ the between rows of the clusters of size m_k and R_k its QR factor,
     sum_i w_i r_i^2 = sum_k w_k ||R_k (-beta; 1)||^2,
 
 and likewise with w_k^2 for the slope.  An evaluation costs O(K), not
-O(g).  Fits whose datasets share their cluster sizes share w, so they are
-searched together: each (dataset, method) pair is one row of a stack, and
-every evaluation is one stacked call over the rows that need a point.  A
-fixed log-spaced scan of gamma guards against a second mode; its 18
+O(g).  A batch holds datasets of one cluster layout, so its fits share w
+and are searched together: each (dataset, method) pair is one row of a
+stack, and every evaluation is one stacked call over the rows that need a
+point.  A fixed log-spaced scan of gamma guards against a second mode; its 18
 points of every row are one evaluation.  A bracketed false-position solve
 (Illinois variant) finds each root of the derivative the scan brackets,
 all brackets in step.  gamma = 0 is the only boundary: when the derivative
@@ -73,6 +73,7 @@ from .model import (
     ClusteredDataset,
     ParameterVector,
     SufficientStats,
+    _one_layout,
     _rowwise,
     parameter_layout,
     sufficient_stats,
@@ -339,9 +340,9 @@ class FitResult:
 
 
 def _prepare(stats: Sequence[SufficientStats]) -> list:
-    """What the fits of datasets that share their cluster sizes decide
-    before any search, for all of them at once: per dataset its failure,
-    or (within estimator beta2, whether sigma_e_sq collapses).
+    """What the fits of datasets of one cluster layout decide before any
+    search, for all of them at once: per dataset its failure, or (within
+    estimator beta2, whether sigma_e_sq collapses).
 
     beta2 = S_w_x^-1 S_w_xy needs S_w_x of full rank.  The test does not
     depend on units: a column counts as constant within clusters when its
@@ -354,7 +355,7 @@ def _prepare(stats: Sequence[SufficientStats]) -> list:
     S_w_y = np.array([s.S_w_y for s in stats])
     ybar = np.stack([s.ybar for s in stats])
     within = np.diagonal(S, axis1=1, axis2=2)
-    raw = within + np.vecmat(np.stack([s.m for s in stats]).astype(float),
+    raw = within + np.vecmat(stats[0].m.astype(float),
                              np.stack([s.xbar_w for s in stats]) ** 2)
     degenerate = np.any(within <= 1e-24 * raw, axis=1)
     eye = np.eye(S.shape[1])
@@ -384,42 +385,6 @@ def _prepare(stats: Sequence[SufficientStats]) -> list:
         else:
             out.append((b2, bool(flat)))
     return out
-
-
-def _fit_group(group: list, methods) -> list:
-    """:func:`fit_batch` of (index, dataset, statistics) triples whose
-    datasets share their cluster sizes."""
-    _, datasets, stats = zip(*group)
-    prepared = _prepare(stats)
-    if all(isinstance(p, NermError) for p in prepared):
-        return [[p] * len(methods) for p in prepared]
-    cells = [(j, m == "reml") for j, p in enumerate(prepared)
-             if not isinstance(p, NermError) for m in methods]
-    rows = _rows([stats[j] for j, _ in cells], [reml for _, reml in cells])
-    search = [c for c, (j, _) in enumerate(cells) if not prepared[j][1]]
-    found = zip(*_maximize(rows.take(search))) if search else iter(())
-    fits = []
-    for j, reml in cells:
-        try:
-            beta2, collapsed = prepared[j]
-            if collapsed:
-                fits.append((_collapsed(datasets[j], beta2, reml), True, 0))
-            else:
-                gamma, beta, se, boundary, evals = next(found)
-                fits.append((_omega_at(stats[j], beta, (gamma * se, se)),
-                             bool(boundary), int(evals)))
-        except NermError as exc:
-            fits.append(exc)
-    done = [c for c, f in enumerate(fits) if not isinstance(f, NermError)]
-    if done:
-        for c, fit in zip(done, _finish([stats[cells[c][0]] for c in done],
-                                        [fits[c] for c in done],
-                                        [cells[c][1] for c in done])):
-            fits[c] = fit
-    by_dataset = iter(fits[c:c + len(methods)]
-                      for c in range(0, len(fits), len(methods)))
-    return [[p] * len(methods) if isinstance(p, NermError) else next(by_dataset)
-            for p in prepared]
 
 
 def objective_batch(stats: Sequence[SufficientStats], omegas: np.ndarray,
@@ -479,15 +444,15 @@ def _finish(stats: list, found: list, reml: list) -> list[FitResult]:
 
 def fit_batch(datasets: Sequence[ClusteredDataset],
               methods: Sequence[str] = ("ml", "reml")) -> list[list]:
-    """Fit every dataset by every method; the datasets that share their
-    cluster sizes are searched together.
+    """Fit every dataset of one cluster layout by every method, all rows
+    searched together.
 
     A fit comes out bit for bit as :func:`fit_ml` or :func:`fit_reml` gives
     it alone, whatever else is in the batch, and a failure fails only the
     fits of its own dataset.
 
     Args:
-        datasets: clustered datasets.
+        datasets: clustered datasets of one cluster layout.
         methods: "ml" and "reml", in the order wanted.
 
     Returns:
@@ -496,30 +461,49 @@ def fit_batch(datasets: Sequence[ClusteredDataset],
 
     Raises:
         InvalidConfig: a method other than "ml" and "reml".
+        RaggedCovariates: the datasets differ in their cluster layout.
     """
     if not set(methods) <= {"ml", "reml"}:
         raise InvalidConfig(f"methods must be 'ml' or 'reml', got {list(methods)}")
-    out, ok = [], []
-    for ds in datasets:
-        if ds.g < 2:
-            out.append([EmptyDataset(f"need at least 2 clusters, got {ds.g}")] * len(methods))
-        elif ds.n <= ds.g:
-            out.append([DegenerateWithinDesign(
-                "every cluster is a singleton (n == g); the residual variance "
-                "is not identified")] * len(methods))
-        else:
-            ok.append(len(out))
-            out.append(None)
-    groups = {}
-    for i, st in zip(ok, sufficient_stats_batch([datasets[i] for i in ok])):
-        key = (st.sizes.tobytes(), st.counts.tobytes(), st.p_b, st.p_w)
-        groups.setdefault(key, []).append((i, datasets[i], st))
-    for group in groups.values():
-        # an M(gamma) that fails to factor by rounding fails its dataset only
-        fits = _rowwise(lambda rows: _fit_group(rows, methods), group, SingularDelta)
-        for (i, _, _), f in zip(group, fits):
-            out[i] = [f] * len(methods) if isinstance(f, NermError) else f
-    return out
+    _one_layout(datasets)   # RaggedCovariates before g and n are read
+    g, n = (datasets[0].g, datasets[0].n) if len(datasets) else (0, 0)
+    if g < 2 or n <= g:   # no datasets give []
+        error = EmptyDataset(f"need at least 2 clusters, got {g}") if g < 2 else \
+            DegenerateWithinDesign("every cluster is a singleton (n == g); the "
+                                   "residual variance is not identified")
+        return [[error] * len(methods) for _ in datasets]
+
+    def stack(pairs):
+        datasets, stats = zip(*pairs)
+        prepared = _prepare(stats)
+        cells = [(j, m == "reml") for j, p in enumerate(prepared)
+                 if not isinstance(p, NermError) for m in methods]
+        search = [(stats[j], reml) for j, reml in cells if not prepared[j][1]]
+        found = zip(*_maximize(_rows(*zip(*search)))) if search else iter(())
+        fits = []
+        for j, reml in cells:
+            try:
+                beta2, collapsed = prepared[j]
+                if collapsed:
+                    fits.append((_collapsed(datasets[j], beta2, reml), True, 0))
+                else:
+                    gamma, beta, se, boundary, evals = next(found)
+                    fits.append((_omega_at(stats[j], beta, (gamma * se, se)),
+                                 bool(boundary), int(evals)))
+            except NermError as exc:
+                fits.append(exc)
+        done = [c for c, f in enumerate(fits) if not isinstance(f, NermError)]
+        for c, fit in zip(done, _finish([stats[cells[c][0]] for c in done],
+                                        [fits[c] for c in done],
+                                        [cells[c][1] for c in done]) if done else []):
+            fits[c] = fit
+        fits = iter(fits)   # each dataset's fits, in the order of ``methods``
+        return [[p] * len(methods) if isinstance(p, NermError)
+                else [next(fits) for _ in methods] for p in prepared]
+    # an M(gamma) that fails to factor by rounding fails its dataset only
+    fits = _rowwise(stack, list(zip(datasets, sufficient_stats_batch(datasets))),
+                    SingularDelta)
+    return [[f] * len(methods) if isinstance(f, NermError) else f for f in fits]
 
 
 def _fit_one(ds: ClusteredDataset, method: str) -> FitResult:

@@ -223,18 +223,6 @@ class ClusteredDataset:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def _stats(self) -> SufficientStats:
-        """See :func:`sufficient_stats`."""
-        return _stack_stats([self])[0]
-
-
-def _cluster_means(ds: ClusteredDataset, a: np.ndarray) -> np.ndarray:
-    """Per-cluster means of the rows of ``a``."""
-    sizes = ds.cluster_sizes
-    sums = np.add.reduceat(a, ds.offsets[:-1], axis=0)
-    return sums / (sizes if a.ndim == 1 else sizes[:, None])
-
 
 def center_within_covariates(
     ds: ClusteredDataset, add_contextual: bool = False
@@ -254,7 +242,7 @@ def center_within_covariates(
     """
     if ds.p_w == 0:
         raise NoWithinCovariates("dataset has no within-cluster covariates")
-    mean_w = _cluster_means(ds, ds.x_w)
+    mean_w = np.add.reduceat(ds.x_w, ds.offsets[:-1], axis=0) / ds.cluster_sizes[:, None]
     x_b = np.hstack([ds.x_b, mean_w]) if add_contextual else ds.x_b
     return ClusteredDataset(
         y=ds.y, x_w=ds.x_w - np.repeat(mean_w, ds.cluster_sizes, axis=0),
@@ -338,21 +326,28 @@ def sufficient_stats(ds: ClusteredDataset) -> SufficientStats:
     contributes independently, so the pooled cross products do not depend
     on cluster ordering.
     """
-    return ds._stats
+    return sufficient_stats_batch([ds])[0]
 
 
 def sufficient_stats_batch(datasets) -> list[SufficientStats]:
-    """:func:`sufficient_stats` of every dataset; the datasets that share
-    their cluster layout (offsets, p_b and p_w) are reduced in one stacked
-    pass, and each dataset caches its own statistics as if computed alone."""
-    todo = {}
-    for ds in datasets:
-        if "_stats" not in ds.__dict__:   # the cache of ``_stats``
-            todo.setdefault((ds.offsets.tobytes(), ds.p_b, ds.p_w), []).append(ds)
-    for group in todo.values():
-        for ds, st in zip(group, _stack_stats(group)):
-            ds.__dict__["_stats"] = st
-    return [sufficient_stats(ds) for ds in datasets]
+    """:func:`sufficient_stats` of datasets of one cluster layout, reduced
+    in one stacked pass; each dataset caches its own statistics, in its
+    ``_stats`` slot, as if computed alone.  RaggedCovariates when the
+    layouts differ."""
+    _one_layout(datasets)
+    todo = [ds for ds in datasets if "_stats" not in ds.__dict__]
+    for ds, st in zip(todo, _stack_stats(todo) if todo else []):
+        ds.__dict__["_stats"] = st
+    return [ds.__dict__["_stats"] for ds in datasets]
+
+
+def _one_layout(datasets) -> None:
+    """The rule of every stacked call on datasets: they share one cluster
+    layout (offsets, p_b and p_w), or RaggedCovariates."""
+    if any((ds.p_b, ds.p_w) != (datasets[0].p_b, datasets[0].p_w)
+           or not np.array_equal(ds.offsets, datasets[0].offsets) for ds in datasets):
+        raise RaggedCovariates("a stack takes datasets of one cluster layout "
+                               "(offsets, p_b and p_w)")
 
 
 def _stack_stats(datasets) -> list[SufficientStats]:

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .asymptotics import intervals, normalization
+from .asymptotics import _two_sided_z, intervals, normalization
 from .errors import (
     AllReplicatesFailed,
     InvalidConfig,
@@ -304,8 +304,7 @@ class SimConfig:
             raise InvalidConfig(
                 f"replications must be >= 1, got {self.replications}"
             )
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidConfig(f"gamma must lie in (0, 1), got {self.gamma}")
+        _two_sided_z(self.gamma)   # InvalidConfig before any draw
         sizes = np.array(self.cluster_sizes, dtype=int, ndmin=1)
         if np.isscalar(self.cluster_sizes):
             sizes = np.repeat(sizes, self.g)

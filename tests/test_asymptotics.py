@@ -413,8 +413,8 @@ def test_interval_rejects_limits_of_another_design():
 def test_interval_rejects_bad_gamma():
     fit = _interval_fixture_fit()
     limits, moments = _interval_fixture_pieces()
-    for gamma in (0.0, 1.0, -0.1, 2.0):
-        with pytest.raises(InvalidConfig):
+    for gamma in (0.0, 1.0, -0.1, 2.0, 1e-300):   # 1e-300: 1 - gamma/2 == 1
+        with pytest.raises(InvalidConfig, match="gamma"):
             confidence_intervals(fit, limits, moments, gamma)
 
 

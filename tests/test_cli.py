@@ -365,7 +365,7 @@ def test_round_trip_random_dataset(tmp_path):
 # run configuration
 # ---------------------------------------------------------------------------
 
-def test_run_config_validation():
+def test_run_config_validation(tmp_path, capsys):
     # the parser passes on only the flags given; RunConfig holds the defaults
     assert _run_config(_build_parser().parse_args(["simulate"])) \
         == RunConfig(command="simulate")
@@ -373,6 +373,13 @@ def test_run_config_validation():
         RunConfig(command="fit", method="bogus")
     with pytest.raises(InvalidConfig):
         RunConfig(command="ci", gamma=0.0)
+    # a gamma so small that 1 - gamma/2 rounds to 1 fails when the flag is
+    # read, naming it, before the input is read (here it does not exist)
+    path = _write(tmp_path, GOOD_CSV)
+    for argv in (["ci", "--input", str(tmp_path / "none.csv")],
+                 ["fit", "--input", path]):
+        assert main([*argv, "--gamma", "1e-300"]) == EXIT_FAIL
+        assert capsys.readouterr().err.startswith("error: gamma must lie in (0, 1)")
     with pytest.raises(InvalidConfig):
         RunConfig(command="fit", contextual=True, center=False)
 
@@ -722,6 +729,7 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys):
     assert main(["simulate", "--p-w", "-1"]) == EXIT_FAIL
     assert main(["simulate", "--workers", "0"]) == EXIT_FAIL
     assert main(["simulate", "--workers", "-1"]) == EXIT_FAIL
+    assert main(["simulate", "--gamma", "1e-300", "--reps", "40"]) == EXIT_FAIL
     # laws whose variance, third or fourth moment overflows a double at
     # the requested variance fail before any draw, without a traceback
     for flags in (["--sigma-e-sq", "1e250", "--e-dist", "lognormal(13.3)"],
@@ -731,5 +739,6 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys):
         assert main(["simulate", "--g", "10", "--m", "3", "--reps", "20",
                      "--seed", "4", *flags]) == EXIT_FAIL
     err = capsys.readouterr().err
-    assert err.count("error:") == len(err.splitlines()) == 11
+    assert err.count("error:") == len(err.splitlines()) == 12
+    assert err.count("error: gamma must lie in (0, 1)") == 1   # before any draw
     assert err.count("is not a finite double") == 4

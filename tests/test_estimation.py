@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from nerm.errors import DegenerateWithinDesign, InvalidConfig, SingularDelta
+from nerm.asymptotics import intervals
+from nerm.errors import (
+    DegenerateWithinDesign,
+    InvalidConfig,
+    RaggedCovariates,
+    SingularDelta,
+)
 from nerm.estimation import (
     _rows,
     _solve,
@@ -25,6 +31,7 @@ from nerm.model import (
     ParameterVector,
     parameter_layout,
     sufficient_stats,
+    sufficient_stats_batch,
 )
 from nerm.simulation import (
     RandomCovariates,
@@ -202,6 +209,41 @@ def test_a_design_singular_at_one_gamma_fails_alone_in_its_batch():
     assert [first, last] == [[fit_ml(ds), fit_reml(ds)] for ds in good]
     with pytest.raises(InvalidConfig):
         fit_batch(good, ("ml", "gls"))
+
+
+def test_a_stack_takes_datasets_of_one_cluster_layout():
+    # every stacked call on datasets takes one cluster layout (offsets,
+    # p_b and p_w) and raises RaggedCovariates on any other stack before
+    # any work: a mixed stack would give intervals read off the first
+    # dataset's cluster sizes, or fail with a bare numpy error
+    rng = np.random.default_rng(23)
+
+    def dataset(offsets, p_b=1):
+        g, n = len(offsets) - 1, offsets[-1]
+        return ClusteredDataset(y=rng.normal(size=n), x_w=rng.normal(size=(n, 1)),
+                                x_b=rng.normal(size=(g, p_b)), offsets=offsets,
+                                ids=[f"c{k}" for k in range(g)])
+
+    a = dataset([0, 2, 4, 9, 12, 20])
+    b = dataset([0, 8, 10, 13, 18, 20])         # other cluster sizes
+    c = dataset([0, 2, 4, 9, 12, 21])           # other n
+    d = dataset([0, 2, 4, 9, 12, 20], p_b=2)    # other p_b
+    for other in (b, c, d):
+        with pytest.raises(RaggedCovariates):
+            sufficient_stats_batch([a, other])
+        with pytest.raises(RaggedCovariates):
+            fit_batch([a, other])
+    assert not any("_stats" in ds.__dict__ for ds in (a, b, c, d))   # no work
+    fits = {id(ds): fit_ml(ds) for ds in (a, b, c, d)}
+    for other in (b, c, d):
+        with pytest.raises(RaggedCovariates):
+            intervals([a, other], [fits[id(a)], fits[id(other)]], 0.05)
+    with pytest.raises(RaggedCovariates):   # one fit for two datasets
+        intervals([a, a], [fits[id(a)]], 0.05)
+    for ds in (a, b, c, d):   # each alone, or stacked with itself
+        assert fit_batch([ds, ds]) == [[fit_ml(ds), fit_reml(ds)]] * 2
+        assert intervals([ds, ds], [fits[id(ds)]] * 2, 0.05) \
+            == intervals([ds], [fits[id(ds)]], 0.05) * 2
 
 
 # ---------------------------------------------------------------------------

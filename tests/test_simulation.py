@@ -115,6 +115,8 @@ def test_config_rejects_bad_shapes():
         SimConfig(g=4, cluster_sizes=3, true_omega=om0, replications=0)
     with pytest.raises(InvalidConfig):
         SimConfig(g=4, cluster_sizes=3, true_omega=om0, gamma=1.0)
+    with pytest.raises(InvalidConfig, match="got 1e-300"):   # 1 - gamma/2 == 1
+        SimConfig(g=4, cluster_sizes=3, true_omega=om0, gamma=1e-300)
     with pytest.raises(InvalidConfig):
         SimConfig(g=4, cluster_sizes=[3, 3], true_omega=om0).sizes
     with pytest.raises(InvalidConfig):
