@@ -46,11 +46,9 @@ from .asymptotics import (
     ConfidenceInterval,
     CovariateLimits,
     MomentEstimates,
-    confidence_intervals,
     estimate_moments,
     intervals,
     matrix_C,
-    normal_quantile,
     normalization,
 )
 from .simulation import (

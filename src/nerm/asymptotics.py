@@ -19,9 +19,10 @@ the test suite builds A and B separately and checks the product.
 
 Every function here takes a stack of rows, one per (dataset, fit), along
 a leading axis; a row's numbers never depend on the other rows.
-:func:`intervals` is the one path from datasets and fits to intervals:
-covariate limits, plug-in moments, C and the intervals, each computed for
-all rows at once.
+:func:`intervals` is the one interval function: it checks what a stack
+shares (gamma, the cluster layout, the fits' shape) once, then computes
+covariate limits, plug-in moments, C and the intervals for all rows at
+once, with the stack's one K and one z.
 
 Intervals follow one rule over v = diag(C) / K, with C evaluated at the
 fitted variances and plug-in moment estimates: a coefficient gets
@@ -67,31 +68,10 @@ __all__ = [
     "CovariateLimits",
     "MomentEstimates",
     "ConfidenceInterval",
-    "normal_quantile",
     "matrix_C",
     "estimate_moments",
-    "confidence_intervals",
     "intervals",
 ]
-
-
-# ---------------------------------------------------------------------------
-# standard normal quantile
-# ---------------------------------------------------------------------------
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (stdlib ``statistics.NormalDist``).
-
-    Args:
-        p: probability strictly inside (0, 1).
-
-    Returns:
-        x with Phi(x) = p.
-    """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InvalidConfig(f"quantile level must lie in (0, 1), got {p!r}")
-    return statistics.NormalDist().inv_cdf(p)
 
 
 def _two_sided_z(gamma: float) -> float:
@@ -101,7 +81,7 @@ def _two_sided_z(gamma: float) -> float:
     if not 0.5 < 1.0 - gamma / 2.0 < 1.0:
         raise InvalidConfig(f"gamma must lie in (0, 1), with 1 - gamma/2 below 1 "
                             f"in double precision; got {gamma!r}")
-    return normal_quantile(1.0 - gamma / 2.0)
+    return statistics.NormalDist().inv_cdf(1.0 - gamma / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +281,24 @@ class ConfidenceInterval:
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
-def confidence_intervals(fits: Sequence[FitResult], limits: CovariateLimits,
-                         moments: MomentEstimates,
-                         gamma: float) -> list[list[ConfidenceInterval]]:
-    """Two-sided 100(1-gamma)% intervals for every model parameter of every
-    fit, all by the one rule of the module docstring over v = diag(C) / K,
-    with C from :func:`matrix_C` at the fitted variances.
+def _interval_rows(fits: Sequence[FitResult], limits: CovariateLimits,
+                   moments: MomentEstimates, K: np.ndarray, z: float,
+                   level: float) -> list[list[ConfidenceInterval]]:
+    """The intervals of every fit by the one rule of the module docstring
+    over v = diag(C) / K, with C from :func:`matrix_C` at the fitted
+    variances, the stack's limits and moments (one row per fit), the
+    stack's diagonal ``K`` and the quantile ``z`` of ``level``.
 
-    Args:
-        fits: fitted models (either method), one per row.
-        limits: covariate limits with one row per fit, usually
-            ``CovariateLimits.from_datasets``.
-        moments: plug-in moment estimates with one row per fit, from
-            :func:`estimate_moments`.
-        gamma: two-sided miscoverage, in (0, 1).
-
-    Returns:
-        Per fit, the intervals in canonical parameter order, beta0 and
-        sigma_e_sq tagged "extension"; a variance whose diagonal of C is not
-        positive comes back flagged with zero width.
+    Per fit, the intervals in canonical parameter order, beta0 and
+    sigma_e_sq tagged "extension"; a variance whose diagonal of C is not
+    positive comes back flagged with zero width.
     """
-    z = _two_sided_z(gamma)
-    p_b, p_w = fits[0].omega_hat.p_b, fits[0].omega_hat.p_w
-    if (limits.p_b, limits.p_w) != (p_b, p_w):
-        raise RaggedCovariates(f"limits have (p_b, p_w) = ({limits.p_b}, "
-                               f"{limits.p_w}), the fit ({p_b}, {p_w})")
-    level = 1.0 - gamma
     est = np.stack([fit.omega_hat.flatten() for fit in fits])
-    _, i0, _, ia, _, ie = parameter_layout(p_b, p_w)
+    _, i0, _, ia, _, ie = parameter_layout(limits.p_b, limits.p_w)
     u = np.asarray(moments.unit)[..., None]   # C and v in the moments' units
     theta = np.array([fit.omega_hat.theta for fit in fits])
     C = matrix_C(limits, theta / u, moments)
-    K = {gn: normalization(*gn, p_b, p_w) for gn in {(fit.g, fit.n) for fit in fits}}
-    v = np.diagonal(C, axis1=1, axis2=2) / np.stack([K[fit.g, fit.n] for fit in fits])
+    v = np.diagonal(C, axis1=1, axis2=2) / K
     var = [ia, ie]
     flat = np.diagonal(C, axis1=1, axis2=2)[:, var] <= 0.0
     v[:, var] = np.where(flat, 0.0, v[:, var])
@@ -346,7 +311,7 @@ def confidence_intervals(fits: Sequence[FitResult], limits: CovariateLimits,
         wide = est[:, var] * _exp(np.minimum(x, 700.0))
     lower[:, var] = np.where(flat, est[:, var], est[:, var] * _exp(-x))
     upper[:, var] = np.where(flat, est[:, var], np.where(x < 700.0, wide, math.inf))
-    names = parameter_names(p_b, p_w)
+    names = parameter_names(limits.p_b, limits.p_w)
     source = ["extension" if k in (i0, ie) else "standard" for k in range(len(names))]
     degenerate = np.zeros(est.shape, dtype=bool)
     degenerate[:, var] = flat
@@ -358,20 +323,31 @@ def confidence_intervals(fits: Sequence[FitResult], limits: CovariateLimits,
 
 def intervals(datasets: Sequence[ClusteredDataset], fits: Sequence[FitResult],
               gamma: float) -> list:
-    """The intervals of every (dataset, fit) pair, computed for all pairs
-    at once; the datasets share their cluster layout.
+    """Two-sided 100(1-gamma)% intervals for every model parameter of every
+    (dataset, fit) pair, computed for all pairs at once from each dataset's
+    own covariate limits and plug-in moments.
 
-    Returns, per pair, the list :func:`confidence_intervals` gives it from
-    the dataset's own limits and moments, or the NermError that its limits,
-    moments or intervals raise; a failure fails only its own pair.
-    RaggedCovariates when the datasets differ in their cluster layout or
-    in number from the fits.
+    Returns, per pair, its intervals in canonical parameter order, or the
+    NermError that its limits, moments or intervals raise; a failure fails
+    only its own pair.  What the whole stack shares is checked first,
+    before any limit or moment is computed: InvalidConfig unless gamma
+    lies in (0, 1), and RaggedCovariates when the datasets differ in their
+    cluster layout or in number from the fits, or a fit's g, n, p_b or p_w
+    differ from the datasets'.
     """
+    z = _two_sided_z(gamma)
     _one_layout(datasets)
     if len(datasets) != len(fits):
         raise RaggedCovariates(f"{len(datasets)} datasets, {len(fits)} fits")
+    if not datasets:
+        return []
+    shape = (datasets[0].g, datasets[0].n, datasets[0].p_b, datasets[0].p_w)
+    if any((fit.g, fit.n, fit.omega_hat.p_b, fit.omega_hat.p_w) != shape for fit in fits):
+        raise RaggedCovariates(f"every fit must be of a dataset with (g, n, p_b, p_w) "
+                               f"= {shape}, as the datasets are")
+    K = normalization(*shape)
     def stack(pairs):
         ds, fs = zip(*pairs)
-        return confidence_intervals(fs, CovariateLimits.from_datasets(ds),
-                                    estimate_moments(ds, fs), gamma)
+        return _interval_rows(fs, CovariateLimits.from_datasets(ds),
+                              estimate_moments(ds, fs), K, z, 1.0 - gamma)
     return _rowwise(stack, list(zip(datasets, fits)), NermError)

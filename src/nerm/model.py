@@ -164,7 +164,7 @@ class ClusteredDataset:
 
     Raises:
         RaggedCovariates: the arrays disagree in shape.
-        EmptyDataset: a cluster has no observations.
+        EmptyDataset: no clusters, or a cluster has no observations.
         NonFiniteValue: NaN or infinity in y or any covariate, naming the
             first cluster that holds one.
     """
@@ -189,6 +189,8 @@ class ClusteredDataset:
                 f"dataset arrays disagree: y {y.shape}, x_w {x_w.shape}, "
                 f"x_b {x_b.shape}, offsets {offsets.shape}, ids {ids.shape}"
             )
+        if not ids.size:
+            raise EmptyDataset("the dataset has no clusters")
         empty = np.flatnonzero(self.cluster_sizes < 1)
         if empty.size:
             raise EmptyDataset(f"cluster {str(ids[empty[0]])!r} has no observations")

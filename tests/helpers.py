@@ -23,7 +23,8 @@ them against finite differences, Monte Carlo averages and each other.
 
 The library's likelihood, moments, limits and intervals take a stack of
 rows, one per dataset or fit.  Their one-dataset views, which only the
-tests call, are at the end of this module.
+tests call, are at the end of this module; the interval view calls the
+private step that ``intervals`` runs once its stack-wide checks pass.
 """
 
 from __future__ import annotations
@@ -33,8 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nerm.asymptotics import CovariateLimits, MomentEstimates, normalization
-from nerm.asymptotics import confidence_intervals as intervals_batch
+from nerm.asymptotics import (
+    CovariateLimits,
+    MomentEstimates,
+    _interval_rows,
+    _two_sided_z,
+    normalization,
+)
 from nerm.asymptotics import estimate_moments as moments_batch
 from nerm.errors import RaggedCovariates
 from nerm.estimation import _rows, _solve, objective_batch, profile_beta
@@ -618,9 +624,11 @@ def estimate_moments(ds: ClusteredDataset, fit) -> MomentEstimates:
 def confidence_intervals(fit, limits: CovariateLimits, moments: MomentEstimates,
                          gamma: float):
     """The intervals of one fit from its limits and moments: the one-row
-    case of the library's ``confidence_intervals``."""
+    case of the interval step that ``intervals`` runs, with K of the fit's
+    g and n and z of the gamma rule."""
     stack = CovariateLimits(c1=limits.c1[None], C2=limits.C2[None],
                             C3=limits.C3[None])
     moments = MomentEstimates(*(np.array([getattr(moments, f)]) for f in
                                 ("mu3_alpha", "mu4_alpha", "mu4_e", "unit")))
-    return intervals_batch([fit], stack, moments, gamma)[0]
+    K = normalization(fit.g, fit.n, limits.p_b, limits.p_w)
+    return _interval_rows([fit], stack, moments, K, _two_sided_z(gamma), 1.0 - gamma)[0]

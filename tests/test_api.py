@@ -9,7 +9,8 @@ statistics; the others take the statistics alone.
 Nothing is exported that only the tests use.  Every public name has a
 caller in the library itself, or is one of the documented entry points
 listed in the README; so has every public method and property of an
-exported class, read as an attribute.
+exported class, read as an attribute.  The README's library session runs
+as written, so it names no function the library has dropped.
 """
 
 import ast
@@ -17,10 +18,14 @@ import functools
 import importlib
 import inspect
 import pkgutil
+import re
 import types
 from pathlib import Path
 
 import nerm
+from nerm.cli import write_dataset_csv
+from nerm.model import ParameterVector
+from nerm.simulation import SimConfig, generate_dataset
 
 # Public names the library never calls itself: what a user or a script
 # starts from.  The README names the same list.
@@ -111,3 +116,14 @@ def test_every_public_member_has_a_caller_or_is_an_entry_point():
     unused = sorted(f"{owner}.{attr}" for owner, attr in members
                     if attr not in attributes and attr not in ENTRY_POINTS)
     assert unused == []
+
+
+def test_the_readme_library_session_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    cfg = SimConfig(g=20, cluster_sizes=4, seed=3,
+                    true_omega=ParameterVector(0.0, [], 1.0, [], 1.0))
+    monkeypatch.chdir(tmp_path)
+    write_dataset_csv(generate_dataset(cfg), "data.csv")
+    exec(compile(block, "README.md", "exec"), {})
+    assert "sigma_alpha_sq" in capsys.readouterr().out

@@ -1,13 +1,15 @@
 """The limit covariance, quantiles, plug-in moments and intervals.
 
 Reference quantile values were frozen from a 50-digit computation with an
-independent arbitrary-precision library.  The sandwich identity C = B^-1 A
+independent arbitrary-precision library; they are read through the z of
+the gamma rule, the library's one quantile.  The sandwich identity C = B^-1 A
 B^-1 is asserted numerically, with A and B built in the tests rather than
 trusted from the closed form, and the finite-sample matrix is tied back to
 the expected score derivative.
 """
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -16,15 +18,15 @@ from nerm.asymptotics import (
     ConfidenceInterval,
     CovariateLimits,
     MomentEstimates,
+    _two_sided_z,
+    intervals,
     matrix_C,
-    normal_quantile,
     normalization,
 )
 from nerm.errors import (
     DegenerateBetweenDesign,
     InvalidConfig,
     NotPositiveDefinite,
-    RaggedCovariates,
 )
 from nerm.estimation import FitResult, fit_ml
 from nerm.model import (
@@ -47,12 +49,12 @@ from .helpers import (
     random_dataset,
 )
 
-# Phi^-1 references, 20 significant digits each.
+# Phi^-1 references, 20 significant digits each.  p = 1e-10 is left out:
+# its z is that of 1 - 1e-10, which rounds in double precision.
 QUANTILE_REFERENCES = [
     (0.975, 1.9599639845400542355),
     (0.995, 2.575829303548900761),
     (0.9, 1.281551565544600467),
-    (1e-10, -6.3613409024040562047),
     (0.8, 0.84162123357291420518),
     (0.999, 3.0902323061678135415),
     (1e-6, -4.7534243088228989482),
@@ -79,32 +81,42 @@ def _random_limits(rng, p_b, p_w):
 # normal quantile
 # ---------------------------------------------------------------------------
 
+def _quantile(p):
+    """Phi^-1(p) through the gamma rule: the z of gamma = 2 (1 - p) above
+    the median, minus the z of gamma = 2 p below it."""
+    return _two_sided_z(2.0 * (1.0 - p)) if p > 0.5 else -_two_sided_z(2.0 * p)
+
+
 @pytest.mark.parametrize("p,ref", QUANTILE_REFERENCES)
 def test_quantile_reference_values(p, ref):
-    assert normal_quantile(p) == pytest.approx(ref, abs=1e-9)
+    assert _quantile(p) == pytest.approx(ref, abs=1e-9)
 
 
 def test_quantile_median_and_symmetry():
-    assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-    # binary-exact complementary pairs, so 1 - p introduces no rounding
+    # gamma -> 1 takes z to the median
+    assert _two_sided_z(1.0 - 2.0**-40) == pytest.approx(0.0, abs=1e-11)
+    # z of 1 - gamma/2 is minus the lower quantile of gamma/2; binary-exact
+    # levels, so 1 - gamma/2 introduces no rounding
+    lower = statistics.NormalDist().inv_cdf
     for p in (0.25, 0.375, 0.0625):
-        assert normal_quantile(1.0 - p) == pytest.approx(-normal_quantile(p),
-                                                         abs=1e-13)
+        assert _two_sided_z(2.0 * p) == pytest.approx(-lower(p), abs=1e-13)
     # near 1 the evaluation only resolves the CDF to about an ulp of 1.0
-    for p in (0.31, 0.999, 1e-7, 2.0**-20):
-        assert normal_quantile(1.0 - p) == pytest.approx(-normal_quantile(p),
-                                                         abs=1e-9)
+    for p in (0.31, 0.001, 1e-7, 2.0**-20):
+        assert _two_sided_z(2.0 * p) == pytest.approx(-lower(p), abs=1e-9)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.7, float("nan")])
 def test_quantile_domain(p):
+    # the level 1 - gamma/2 = p of z must lie in (1/2, 1)
     with pytest.raises(InvalidConfig):
-        normal_quantile(p)
+        _quantile(p)
 
 
 def test_quantile_round_trips_through_erfc():
     for p in np.linspace(0.001, 0.999, 41):
-        x = normal_quantile(float(p))
+        if p == 0.5:   # z's limit as gamma -> 1, checked above
+            continue
+        x = _quantile(float(p))
         back = 0.5 * math.erfc(-x / math.sqrt(2.0))
         assert back == pytest.approx(p, abs=1e-14)
 
@@ -354,7 +366,7 @@ def test_every_interval_reads_diag_C_over_K():
     # coefficients: half-width z sqrt(C_kk / K_k); variances: the same rule
     # on the log-sd scale, whose delta-method sd is sqrt(C_kk / K_k) / (2 est)
     rng = np.random.default_rng(48)
-    z = normal_quantile(0.975)
+    z = _two_sided_z(0.05)
     kinds = set()
     for case in range(45):
         p_b, p_w = case % 3, (case // 3) % 3
@@ -403,19 +415,14 @@ def test_every_interval_reads_diag_C_over_K():
     assert kinds == {"coefficient", "degenerate", "infinite", "variance"}
 
 
-def test_interval_rejects_limits_of_another_design():
-    limits = CovariateLimits(c1=[0.0], C2=[[1.0]], C3=np.empty((0, 0)))
-    moments = normal_theory(1.0, 4.0)
-    with pytest.raises(RaggedCovariates):   # fit has p_b = 0, p_w = 1
-        confidence_intervals(_interval_fixture_fit(), limits, moments, 0.05)
-
-
 def test_interval_rejects_bad_gamma():
-    fit = _interval_fixture_fit()
-    limits, moments = _interval_fixture_pieces()
-    for gamma in (0.0, 1.0, -0.1, 2.0, 1e-300):   # 1e-300: 1 - gamma/2 == 1
-        with pytest.raises(InvalidConfig, match="gamma"):
-            confidence_intervals(fit, limits, moments, gamma)
+    ds, _ = random_dataset(np.random.default_rng(5), g=6, m_max=4)
+    fit = fit_ml(ds)
+    # 1e-300: 1 - gamma/2 == 1
+    for gamma in (0.0, 1.0, -0.1, 2.0, 1e-300, math.nan):
+        for stack in (([ds], [fit]), ([], [])):
+            with pytest.raises(InvalidConfig, match="gamma"):
+                intervals(*stack, gamma)
 
 
 def test_normalization_layout():

@@ -211,16 +211,16 @@ def test_a_design_singular_at_one_gamma_fails_alone_in_its_batch():
         fit_batch(good, ("ml", "gls"))
 
 
-def test_a_stack_takes_datasets_of_one_cluster_layout():
+def test_a_stack_takes_datasets_of_one_cluster_layout(monkeypatch):
     # every stacked call on datasets takes one cluster layout (offsets,
     # p_b and p_w) and raises RaggedCovariates on any other stack before
     # any work: a mixed stack would give intervals read off the first
     # dataset's cluster sizes, or fail with a bare numpy error
     rng = np.random.default_rng(23)
 
-    def dataset(offsets, p_b=1):
+    def dataset(offsets, p_b=1, p_w=1):
         g, n = len(offsets) - 1, offsets[-1]
-        return ClusteredDataset(y=rng.normal(size=n), x_w=rng.normal(size=(n, 1)),
+        return ClusteredDataset(y=rng.normal(size=n), x_w=rng.normal(size=(n, p_w)),
                                 x_b=rng.normal(size=(g, p_b)), offsets=offsets,
                                 ids=[f"c{k}" for k in range(g)])
 
@@ -228,18 +228,35 @@ def test_a_stack_takes_datasets_of_one_cluster_layout():
     b = dataset([0, 8, 10, 13, 18, 20])         # other cluster sizes
     c = dataset([0, 2, 4, 9, 12, 21])           # other n
     d = dataset([0, 2, 4, 9, 12, 20], p_b=2)    # other p_b
+    e = dataset([0, 2, 4, 9, 12, 20, 23])       # other g and n
+    f = dataset([0, 2, 4, 9, 12, 20], p_w=2)    # other p_w
     for other in (b, c, d):
         with pytest.raises(RaggedCovariates):
             sufficient_stats_batch([a, other])
         with pytest.raises(RaggedCovariates):
             fit_batch([a, other])
     assert not any("_stats" in ds.__dict__ for ds in (a, b, c, d))   # no work
-    fits = {id(ds): fit_ml(ds) for ds in (a, b, c, d)}
-    for other in (b, c, d):
-        with pytest.raises(RaggedCovariates):
-            intervals([a, other], [fits[id(a)], fits[id(other)]], 0.05)
-    with pytest.raises(RaggedCovariates):   # one fit for two datasets
-        intervals([a, a], [fits[id(a)]], 0.05)
+    fits = {id(ds): fit_ml(ds) for ds in (a, b, c, d, e, f)}
+
+    def no_work(*args):
+        raise AssertionError("limits or moments computed")
+
+    # what the whole stack shares is checked once, before any limit or moment
+    with monkeypatch.context() as mp:
+        mp.setattr("nerm.asymptotics.estimate_moments", no_work)
+        mp.setattr("nerm.asymptotics.CovariateLimits.from_datasets", no_work)
+        for other in (b, c, d):
+            with pytest.raises(RaggedCovariates):
+                intervals([a, other], [fits[id(a)], fits[id(other)]], 0.05)
+        with pytest.raises(RaggedCovariates):   # one fit for two datasets
+            intervals([a, a], [fits[id(a)]], 0.05)
+        for other in (d, e, f):   # a fit of another dataset's g, n, p_b or p_w
+            with pytest.raises(RaggedCovariates):
+                intervals([a, a], [fits[id(a)], fits[id(other)]], 0.05)
+        for gamma in (2.0, math.nan):
+            for stack in (([a, a], [fits[id(a)]] * 2), ([], [])):
+                with pytest.raises(InvalidConfig, match="gamma"):
+                    intervals(*stack, gamma)
     for ds in (a, b, c, d):   # each alone, or stacked with itself
         assert fit_batch([ds, ds]) == [[fit_ml(ds), fit_reml(ds)]] * 2
         assert intervals([ds, ds], [fits[id(ds)]] * 2, 0.05) \

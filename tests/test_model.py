@@ -102,6 +102,10 @@ def test_validate_rejects_empty_cluster():
             (Cluster("a", [1.0], np.empty(0), np.empty((1, 0))),
              Cluster("b", np.empty(0), np.empty(0), np.empty((0, 0)))),
             p_b=0, p_w=0)
+    # no clusters at all: raised when built, not later by the statistics
+    with pytest.raises(EmptyDataset, match="^the dataset has no clusters$"):
+        ClusteredDataset(y=np.empty(0), x_w=np.empty((0, 1)), x_b=np.empty((0, 1)),
+                         offsets=[0], ids=[])
 
 
 def test_validate_rejects_ragged_covariates():
