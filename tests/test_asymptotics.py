@@ -27,6 +27,7 @@ from nerm.errors import (
     DegenerateBetweenDesign,
     InvalidConfig,
     NotPositiveDefinite,
+    RaggedCovariates,
 )
 from nerm.estimation import FitResult, fit_ml
 from nerm.model import (
@@ -413,6 +414,17 @@ def test_every_interval_reads_diag_C_over_K():
                 assert (log_hi + log_lo) / 2.0 == pytest.approx(
                     math.log(est), abs=1e-12 * (1.0 + abs(math.log(est))))
     assert kinds == {"coefficient", "degenerate", "infinite", "variance"}
+
+
+def test_interval_rejects_limits_of_another_design():
+    # the stack's limits are those of p_b = 1, p_w = 0; the fit is of the
+    # same cluster sizes with p_b = 0, p_w = 1
+    ds, _ = random_dataset(np.random.default_rng(7), g=6, m_max=4, p_b=1, p_w=0)
+    other, _ = random_dataset(np.random.default_rng(7), g=6, m_max=4,
+                              p_b=0, p_w=1)
+    assert other.offsets.tolist() == ds.offsets.tolist()
+    with pytest.raises(RaggedCovariates):
+        intervals([ds], [fit_ml(other)], 0.05)
 
 
 def test_interval_rejects_bad_gamma():
